@@ -68,7 +68,6 @@ DEFAULTS = {
         "growth": 1.5,
         "max_M": None,
         "seed": 0,
-        "threads": 1,
         "max_iters": 30,
     },
     "noise": {
@@ -77,7 +76,6 @@ DEFAULTS = {
         "kappa": 1.0,
         "trials": 200,
         "seed": 0,
-        "threads": 1,
         "max_iters": 100,
     },
     "hex": {
@@ -155,7 +153,7 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
         "config_sha256": hashlib.sha256(blob.encode("ascii")).hexdigest(),
         "config_version": _CONFIG_VERSION,
         "seed": config.get("seed"),
-        "versions": {"artifact": __version__, "numpy": np.__version__},
+        "versions": {"residuehd": __version__, "numpy": np.__version__},
     }
     with open(outdir / "manifest.json", "w", encoding="ascii") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -210,7 +208,6 @@ def _cmd_capacity(cfg, outdir):
         ),
         growth=cfg["growth"],
         max_M=cfg["max_M"],
-        threads=cfg["threads"],
     )
     records = [
         {
@@ -239,7 +236,6 @@ def _cmd_noise(cfg, outdir):
         kappa=cfg["kappa"],
         seed=cfg["seed"],
         config=ResonatorConfig(max_iters=cfg["max_iters"]),
-        threads=cfg["threads"],
     )
     record = {
         "D": cfg["D"],
@@ -413,11 +409,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "capacity": [
             ("--D", int), ("--K", int), ("--kappa", float), ("--trials", int),
             ("--threshold", float), ("--stop-threshold", float), ("--growth", float),
-            ("--max-M", int), ("--threads", int), ("--max-iters", int),
+            ("--max-M", int), ("--max-iters", int),
         ],
         "noise": [
             ("--D", int), ("--moduli", int_list), ("--kappa", float), ("--trials", int),
-            ("--threads", int), ("--max-iters", int),
+            ("--max-iters", int),
         ],
         "hex": [("--moduli", int_list), ("--D", int), ("--extent", float), ("--step", float), ("--max-m", int)],
         "subint": [

@@ -145,22 +145,17 @@ class HexSystem:
         per-modulus coordinate differences (which are invariant to the
         diagonal shift each modulus admits independently), CRT-combine
         them per axis, and return the class representative with the
-        smallest maximum coordinate (ties lexicographic).
+        smallest maximum coordinate (ties lexicographic). Raises
+        RuntimeError when the resonator does not converge.
         """
         from .residue import crt_reconstruct
-        from .resonator import Codebook, ResonatorConfig, resonator_factorize
+        from .resonator import ResonatorConfig, _modular_codebook, resonator_factorize
 
-        books = []
-        for m, triplet in zip(self.moduli, self.triplets):
-            for base in triplet:
-                books.append(
-                    Codebook.from_vectors(
-                        [PhasorVector.exact((base.phase_indices * r) % m, m) for r in range(m)],
-                        list(range(m)),
-                    )
-                )
+        books = [_modular_codebook(base) for triplet in self.triplets for base in triplet]
         cfg = config if config is not None else ResonatorConfig(max_iters=30, max_restarts=5, verify=True)
         state = resonator_factorize(v, books, cfg)
+        if not state.converged:
+            raise RuntimeError("resonator failed to factorize the hexagonal encoding")
         labels = state.labels
         d1_res, d2_res = [], []
         for k, m in enumerate(self.moduli):

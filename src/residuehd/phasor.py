@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-9
+# hadamard sums two indices below the combined period in int64
+_MAX_HADAMARD_PERIOD = 2**62
 
 
 class PhasorVector:
@@ -227,11 +229,17 @@ def similarity(a: PhasorVector, b: PhasorVector) -> float:
 
 
 def hadamard(a: PhasorVector, b: PhasorVector) -> PhasorVector:
-    """Componentwise product. Exact x exact stays exact with period lcm(L1, L2)."""
+    """Componentwise product. Exact x exact stays exact with period lcm(L1, L2).
+
+    Raises ValueError when lcm(L1, L2) exceeds 2^62, beyond which the
+    int64 index sum could overflow.
+    """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.is_exact and b.is_exact:
         L = math.lcm(a.period, b.period)
+        if L > _MAX_HADAMARD_PERIOD:
+            raise ValueError(f"combined period {L} exceeds exact index arithmetic limit")
         idx = (a.indices * (L // a.period) + b.indices * (L // b.period)) % L
         return PhasorVector.exact(idx, L)
     return PhasorVector.dense(a.values * b.values, validate=False)

@@ -24,15 +24,14 @@ noise sweep used to map how far a given dimension can be pushed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .phasor import NoiseModel, PhasorVector, add_phase_noise, encode_integer
-from .residue import ResidueSystem, crt_reconstruct, make_residue_system
+from .phasor import ModulusBase, NoiseModel, PhasorVector, add_phase_noise, encode_integer
+from .residue import ResidueSystem, _is_prime, crt_reconstruct, make_residue_system
 
 __all__ = [
     "Codebook",
@@ -88,29 +87,30 @@ class Codebook:
         return f"Codebook(n={self.n_entries}, D={self.dim})"
 
 
+# cosine between the input and the product of the claimed codebook entries
+# that verification requires; a right claim on a clean input scores 1.0, a
+# wrong one about 1/sqrt(D)
+VERIFY_THRESHOLD = 0.5
+
+
 @dataclass
 class ResonatorConfig:
     """Knobs for the factorization loop.
 
-    alpha is the successive-state similarity threshold for convergence;
-    verify additionally checks the composed product against the input
-    (cosine >= verify_threshold) and restarts when the network settled
-    on a fixed point that does not reproduce the input. init chooses
-    the first attempt's estimates: "random" phases (default) or the
-    unweighted "superposition" of each codebook, kept for ablation (for
-    a full modular codebook that sum cancels to roughly the identity
-    vector, which measurably slows convergence); restarts always use
-    fresh random phases.
+    alpha is the successive-state similarity threshold that ends an
+    attempt's sweeps early. Without verify, reaching alpha is what
+    accepts an attempt. With verify, an attempt is accepted when the
+    Hadamard product of the codebook entries it decoded has cosine at
+    least VERIFY_THRESHOLD with the input, whether or not it reached
+    alpha; a spurious fixed point fails this check and the loop
+    restarts from fresh random phases, up to max_restarts times.
     """
 
     alpha: float = 0.95
     max_iters: int = 50
     max_restarts: int = 0
-    schedule: tuple[int, ...] | None = None
     seed: int | None = None
-    init: str = "random"
     verify: bool = False
-    verify_threshold: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -119,13 +119,17 @@ class ResonatorConfig:
             raise ValueError("max_iters must be >= 1")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.init not in ("superposition", "random"):
-            raise ValueError(f"unknown init mode {self.init!r}")
 
 
 @dataclass
 class ResonatorState:
-    """Per-factor estimates plus convergence and cost bookkeeping."""
+    """Per-factor estimates plus convergence and cost bookkeeping.
+
+    converged is True when an attempt was accepted: with verify, its
+    decoded labels reproduce the input (so they are the answer for any
+    input that is a clean product of codebook entries); without verify,
+    it reached the alpha threshold.
+    """
 
     estimates: np.ndarray  # (K, D) complex, unit magnitude
     iteration: int = 0  # completed sweeps (cumulative across restarts)
@@ -140,18 +144,21 @@ class ResonatorState:
     def n_factors(self) -> int:
         return self.estimates.shape[0]
 
-    def composed(self) -> np.ndarray:
-        """Hadamard product of the current factor estimates."""
-        return np.prod(self.estimates, axis=0)
+
+def _modular_codebook(base: ModulusBase) -> Codebook:
+    """Entries z_m(0) .. z_m(m-1) of one base, labels 0..m-1."""
+    m = base.modulus
+    # rows are written in place: a list of m encodings would double the
+    # peak memory of a large codebook
+    rows = np.empty((m, base.dim), dtype=np.complex128)
+    for r in range(m):
+        rows[r] = encode_integer(base, r).values
+    return Codebook(rows, range(m))
 
 
 def build_residue_codebooks(sys: ResidueSystem) -> list[Codebook]:
     """One codebook per modulus: entries z_m(0) .. z_m(m-1), labels 0..m-1."""
-    books = []
-    for base in sys.bases:
-        vecs = [encode_integer(base, r) for r in range(base.modulus)]
-        books.append(Codebook.from_vectors(vecs, list(range(base.modulus))))
-    return books
+    return [_modular_codebook(base) for base in sys.bases]
 
 
 def codebook_decode(v, codebook: Codebook, state: ResonatorState | None = None):
@@ -204,10 +211,6 @@ def resonator_step(v, state: ResonatorState, codebooks: Sequence[Codebook], j: i
     return state
 
 
-def _superposition_init(codebooks) -> np.ndarray:
-    return np.stack([_unit_normalize(cb.matrix.sum(axis=0)) for cb in codebooks])
-
-
 def _random_init(codebooks, rng) -> np.ndarray:
     D = codebooks[0].dim
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(len(codebooks), D))
@@ -222,13 +225,19 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b)) / (na * nb))
 
 
+def _claim_cosine(v_vals: np.ndarray, codebooks, label_idx) -> float:
+    """Cosine between the input and the product of the decoded entries."""
+    return _cosine(np.prod([cb.matrix[i] for cb, i in zip(codebooks, label_idx)], axis=0), v_vals)
+
+
 def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfig | None = None) -> ResonatorState:
     """Run asynchronous sweeps until the state settles, restarting on demand.
 
-    Returns a state whose `converged` flag reports whether any attempt
-    reached the similarity threshold (and passed verification when
-    enabled). A failed run still carries the best estimates seen, with
-    converged False, never a silent wrong claim.
+    Returns a state whose `converged` flag reports whether an attempt
+    was accepted (see ResonatorConfig for the rule). A failed run still
+    carries the labels and estimates of the attempt whose decoded
+    product came closest to the input, with converged False, never a
+    silent wrong claim.
     """
     config = config or ResonatorConfig()
     codebooks = list(codebooks)
@@ -241,26 +250,22 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
     v_vals = v.values if isinstance(v, PhasorVector) else np.asarray(v, dtype=np.complex128)
     if v_vals.shape[0] != D:
         raise ValueError(f"input dimension {v_vals.shape[0]} does not match codebooks ({D})")
-    schedule = config.schedule if config.schedule is not None else tuple(range(K))
-    if sorted(schedule) != list(range(K)):
-        raise ValueError("schedule must visit every factor exactly once")
+    if not np.all(np.isfinite(v_vals)):
+        raise ValueError("input has non-finite components")
 
     seed_root = np.random.SeedSequence(config.seed)
     state = ResonatorState(estimates=np.empty((K, D), dtype=np.complex128))
-    best = None  # (quality, estimates, label_idx)
+    best = None  # (claim cosine, estimates, label_idx)
 
     for attempt in range(1 + config.max_restarts):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(attempt,))
                                     if config.seed is not None else seed_root.spawn(1)[0])
-        if attempt == 0 and config.init == "superposition":
-            state.estimates = _superposition_init(codebooks)
-        else:
-            state.estimates = _random_init(codebooks, rng)
+        state.estimates = _random_init(codebooks, rng)
         state.restarts_used = attempt
         reached_alpha = False
         for _ in range(config.max_iters):
             prev = state.estimates.copy()
-            for j in schedule:
+            for j in range(K):
                 _step_inplace(v_vals, state, codebooks, j)
             state.iteration += 1
             sim = float(np.real(np.vdot(prev.ravel(), state.estimates.ravel())) / (K * D))
@@ -268,24 +273,17 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
             if sim >= config.alpha:
                 reached_alpha = True
                 break
-        quality = _cosine(state.composed(), v_vals)
-        if reached_alpha and (not config.verify or quality >= config.verify_threshold):
+        score = _claim_cosine(v_vals, codebooks, state.label_idx)
+        accepted = score >= VERIFY_THRESHOLD if config.verify else reached_alpha
+        if accepted:
             state.converged = True
-            state.labels = tuple(
-                codebooks[j].labels[int(state.label_idx[j])] for j in range(K)
-            )
-            return state
-        if best is None or quality > best[0]:
-            best = (quality, state.estimates.copy(), None if state.label_idx is None else state.label_idx.copy())
+            break
+        if best is None or score > best[0]:
+            best = (score, state.estimates.copy(), state.label_idx.copy())
+    else:
+        _, state.estimates, state.label_idx = best
 
-    state.converged = False
-    state.estimates = best[1]
-    state.label_idx = best[2]
-    state.labels = (
-        None
-        if state.label_idx is None
-        else tuple(codebooks[j].labels[int(state.label_idx[j])] for j in range(K))
-    )
+    state.labels = tuple(codebooks[j].labels[int(state.label_idx[j])] for j in range(K))
     return state
 
 
@@ -302,8 +300,6 @@ def decode_residue_number(
     """
     books = codebooks if codebooks is not None else build_residue_codebooks(sys)
     state = resonator_factorize(v, books, config)
-    if state.labels is None:
-        return None, state
     return crt_reconstruct(state.labels, sys.moduli), state
 
 
@@ -332,8 +328,6 @@ def sub_integer_decode(
         raise ValueError(f"partitions must be >= 1, got {r}")
     books = codebooks if codebooks is not None else build_residue_codebooks(sys)
     state = resonator_factorize(v, books, config)
-    if state.labels is None:
-        return None, state
     v_vals = v.values if isinstance(v, PhasorVector) else np.asarray(v)
     M = sys.range_M
     K = len(books)
@@ -433,19 +427,6 @@ def consecutive_primes(start: int, count: int) -> list[int]:
     return out
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _trial_seeds(seed: int, key: tuple[int, ...], n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed, spawn_key=key).generate_state(n)]
 
@@ -456,42 +437,32 @@ def decode_accuracy(
     kappa: float = math.inf,
     seed: int = 0,
     config: ResonatorConfig | None = None,
-    threads: int = 1,
 ):
     """Round-trip decode accuracy over random integers, with optional phase noise.
 
-    Returns (accuracy, mean_evaluations). Deterministic per seed and
-    independent of the thread count.
+    Returns (accuracy, mean_evaluations), deterministic per seed.
 
-    Without an explicit config, clean-input runs verify the composed
-    product against the input and restart stuck attempts (the mismatch
-    is unmistakable, roughly 0.1 vs 1.0 cosine); noisy runs skip
-    verification because a correct fixed point only matches the noisy
+    Without an explicit config, clean-input runs verify the decoded
+    answer against the input and restart stuck attempts (the mismatch
+    is unmistakable, roughly 1/sqrt(D) vs 1.0 cosine); noisy runs skip
+    verification because a correct answer only matches the noisy
     input at about I1(kappa)/I0(kappa), which can sit below any fixed
     threshold.
     """
     M = sys.range_M
     books = build_residue_codebooks(sys)
     base_cfg = config or ResonatorConfig(max_iters=30, max_restarts=3, verify=math.isinf(kappa))
-
-    def run(t: int):
+    hits, evaluations = [], []
+    for t in range(trials):
         s_x, s_noise, s_res = _trial_seeds(seed, (t,), 3)
         x = int(np.random.default_rng(s_x).integers(M))
         vec = sys.encode(x)
         if not math.isinf(kappa):
             vec = add_phase_noise(vec, NoiseModel(kappa, s_noise))
-        cfg = ResonatorConfig(**{**base_cfg.__dict__, "seed": s_res})
-        decoded, st = decode_residue_number(sys, vec, cfg, codebooks=books)
-        return (decoded == x), st.codebook_evaluations
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, range(trials)))
-    else:
-        results = [run(t) for t in range(trials)]
-    acc = float(np.mean([ok for ok, _ in results]))
-    mean_evals = float(np.mean([ev for _, ev in results]))
-    return acc, mean_evals
+        decoded, st = decode_residue_number(sys, vec, replace(base_cfg, seed=s_res), codebooks=books)
+        hits.append(decoded == x)
+        evaluations.append(st.codebook_evaluations)
+    return float(np.mean(hits)), float(np.mean(evaluations))
 
 
 @dataclass
@@ -549,7 +520,6 @@ def capacity_experiment(
     config: ResonatorConfig | None = None,
     growth: float = 1.5,
     max_M: int | None = None,
-    threads: int = 1,
 ) -> CapacityResult:
     """Sweep K-consecutive-prime moduli windows upward in M and measure accuracy.
 
@@ -579,7 +549,7 @@ def capacity_experiment(
         sys = make_residue_system(moduli, D, sys_seed)
         acc, mean_evals = decode_accuracy(
             sys, trials, kappa=kappa, seed=_trial_seeds(seed, (window_number, 1), 1)[0],
-            config=config, threads=threads,
+            config=config,
         )
         result.points.append(
             CapacityPoint(moduli=moduli, M=M, accuracy=acc, mean_evaluations=mean_evals, trials=trials)
@@ -618,8 +588,7 @@ def subinteger_experiment(
         vec = sys.encode_rational(float(truth))
         if not math.isinf(kappa):
             vec = add_phase_noise(vec, NoiseModel(kappa, s_noise))
-        cfg = ResonatorConfig(**{**base_cfg.__dict__, "seed": s_res})
-        decoded, _ = sub_integer_decode(sys, vec, r, cfg, codebooks=books)
+        decoded, _ = sub_integer_decode(sys, vec, r, replace(base_cfg, seed=s_res), codebooks=books)
         if decoded == truth:
             hits += 1
     acc = hits / trials

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .phasor import encode_integer, phase_normalize
+from .phasor import phase_normalize
 from .residue import ResidueSystem, crt_reconstruct
-from .resonator import Codebook, ResonatorConfig, resonator_factorize
+from .resonator import Codebook, ResonatorConfig, build_residue_codebooks, resonator_factorize
 
 __all__ = [
     "FeatureMaps",
@@ -94,9 +94,9 @@ class SceneVector:
 
 @dataclass
 class SceneDecode:
-    object_id: int | None
-    x: int | None
-    y: int | None
+    object_id: int
+    x: int
+    y: int
     converged: bool
     evaluations: int
     restarts_used: int
@@ -218,17 +218,11 @@ class SceneCodec:
                 Codebook(v_vals, list(range(self.vsys.range_M))),
             ]
         else:
-            books = [obj_book]
-            for base in self.hsys.bases:
-                books.append(Codebook.from_vectors([encode_integer(base, r) for r in range(base.modulus)], list(range(base.modulus))))
-            for base in self.vsys.bases:
-                books.append(Codebook.from_vectors([encode_integer(base, r) for r in range(base.modulus)], list(range(base.modulus))))
+            books = [obj_book] + build_residue_codebooks(self.hsys) + build_residue_codebooks(self.vsys)
         total_vectors = sum(cb.n_entries for cb in books)
         config = config or ResonatorConfig(max_iters=15, max_restarts=9, verify=True)
         z = phase_normalize(s.values)
         state = resonator_factorize(z, books, config)
-        if state.labels is None:
-            return SceneDecode(None, None, None, False, state.codebook_evaluations, state.restarts_used, total_vectors)
         if mode == "standard":
             obj, x, y = state.labels
         else:
@@ -322,7 +316,7 @@ def scene_experiment(
         evals = []
         vectors = None
         for t, (i, dx, dy, s) in enumerate(scenes):
-            cfg = ResonatorConfig(**{**base_cfg.__dict__, "seed": int(np.random.SeedSequence(seed, spawn_key=(m_idx, t)).generate_state(1)[0])})
+            cfg = replace(base_cfg, seed=int(np.random.SeedSequence(seed, spawn_key=(m_idx, t)).generate_state(1)[0]))
             dec = codec.factorize_scene(s, object_cb, mode=mode, config=cfg)
             vectors = dec.total_codebook_vectors
             evals.append(dec.evaluations)

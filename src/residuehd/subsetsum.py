@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -154,52 +154,26 @@ def solve(
 ) -> SubsetSumResult:
     """Search for any subset summing to the target; never returns unverified output.
 
-    Runs up to 1 + max_restarts resonator attempts, each from fresh
-    random phases, and accepts an attempt only when the decoded subset
-    sums to the target in exact integer arithmetic.
+    One verifying resonator run of up to 1 + max_restarts attempts,
+    each from fresh random phases: an attempt is accepted when the
+    product of its chosen entries reproduces z(target). The accepted
+    subset is then checked to sum to the target in exact integer
+    arithmetic before success is reported.
     """
     if sum(instance.items) >= sys.range_M:
         raise ValueError("instance violates M > sum(S)")
     config = config or ResonatorConfig(max_iters=30, max_restarts=19)
     books = build_factors(instance.items, sys)
-    target_vec = sys.encode(instance.target)
-    evaluations = 0
-    outcomes = []
-    for attempt in range(1 + config.max_restarts):
-        attempt_seed = (
-            int(np.random.SeedSequence(config.seed, spawn_key=(attempt,)).generate_state(1)[0])
-            if config.seed is not None
-            else None
-        )
-        cfg = ResonatorConfig(
-            alpha=config.alpha,
-            max_iters=config.max_iters,
-            max_restarts=0,
-            schedule=config.schedule,
-            seed=attempt_seed,
-            init="random",
-        )
-        state = resonator_factorize(target_vec, books, cfg)
-        evaluations += state.codebook_evaluations
-        subset = tuple(int(i) for i in np.flatnonzero(np.asarray(state.labels)))
-        verified = sum(instance.items[i] for i in subset) == instance.target
-        outcomes.append(verified)
-        if verified:
-            return SubsetSumResult(
-                success=True,
-                subset=subset,
-                restarts_used=attempt,
-                evaluations=evaluations,
-                attempts=attempt + 1,
-                attempt_successes=tuple(outcomes),
-            )
+    state = resonator_factorize(sys.encode(instance.target), books, replace(config, verify=True))
+    subset = tuple(int(i) for i in np.flatnonzero(np.asarray(state.labels)))
+    success = state.converged and sum(instance.items[i] for i in subset) == instance.target
     return SubsetSumResult(
-        success=False,
-        subset=None,
-        restarts_used=config.max_restarts,
-        evaluations=evaluations,
-        attempts=1 + config.max_restarts,
-        attempt_successes=tuple(outcomes),
+        success=success,
+        subset=subset if success else None,
+        restarts_used=state.restarts_used,
+        evaluations=state.codebook_evaluations,
+        attempts=state.restarts_used + 1,
+        attempt_successes=(False,) * state.restarts_used + (success,),
     )
 
 
@@ -279,9 +253,8 @@ def benchmark(
             for t in range(trials):
                 inst_seed = int(np.random.SeedSequence(seed, spawn_key=(D, n, 1, t)).generate_state(1)[0])
                 inst = generate_instance(n, sys, inst_seed)
-                cfg = ResonatorConfig(**{**base_cfg.__dict__, "seed": inst_seed})
                 t0 = time.perf_counter()
-                res = solve(inst, sys, cfg)
+                res = solve(inst, sys, replace(base_cfg, seed=inst_seed))
                 seconds.append(time.perf_counter() - t0)
                 results.append(res)
                 result_rows.append(

@@ -202,6 +202,14 @@ class TestHexEncoding:
             decoded = hs.decode(hs.encode(y), cfg)
             assert decoded == canonical(y)
 
+    def test_decode_failure_raises(self):
+        from residuehd.resonator import ResonatorConfig
+
+        hs = HexSystem((3, 5), 256, seed=0)
+        v = np.exp(1j * np.random.default_rng(19).uniform(0, 2 * np.pi, hs.dim))
+        with pytest.raises(RuntimeError):
+            hs.decode(v, ResonatorConfig(max_iters=3, verify=True, seed=0))
+
 
 class TestStateCounting:
     def test_minimal(self):

@@ -152,6 +152,14 @@ class TestHadamard:
         b = PhasorVector.exact(np.array([1, 5]), 6)
         assert hadamard(a, b).period == 12
 
+    def test_period_beyond_int64_index_sum_rejected(self):
+        # lcm is about 9.22e18: under 2^63, but the index sum would wrap
+        p, q = 3037000493, 3037000453
+        a = PhasorVector.exact(np.array([p - 1]), p)
+        b = PhasorVector.exact(np.array([q - 1]), q)
+        with pytest.raises(ValueError):
+            hadamard(a, b)
+
     def test_addition_decodes(self):
         from residuehd.residue import make_residue_system
         from residuehd.resonator import Codebook, codebook_decode
