@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from .phasor import ModulusBase, PhasorVector, hadamard, sample_base, similarity
-from .residue import ResidueSystem, _check_pairwise_coprime
+from .residue import ResidueSystem, _check_pairwise_coprime, _child_seeds
 
 __all__ = [
     "PSI",
@@ -78,7 +79,7 @@ def sample_hex_base(m: int, D: int, seed: int) -> tuple[ModulusBase, ModulusBase
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
+    s1, s2 = _child_seeds(seed, (), 2)
     b1 = sample_base(m, D, s1)
     b2 = sample_base(m, D, s2)
     u3 = (-(b1.phase_indices + b2.phase_indices)) % m
@@ -110,10 +111,7 @@ class HexSystem:
         self.moduli = moduli
         self.dim = D
         self.seed = int(seed)
-        self.triplets = tuple(
-            sample_hex_base(m, D, int(np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(1)[0]))
-            for k, m in enumerate(moduli)
-        )
+        self.triplets = tuple(sample_hex_base(m, D, _child_seeds(seed, (k,))[0]) for k, m in enumerate(moduli))
 
     @property
     def range_M(self) -> int:
@@ -145,14 +143,15 @@ class HexSystem:
         per-modulus coordinate differences (which are invariant to the
         diagonal shift each modulus admits independently), CRT-combine
         them per axis, and return the class representative with the
-        smallest maximum coordinate (ties lexicographic). Raises
-        RuntimeError when the resonator does not converge.
+        smallest maximum coordinate (ties lexicographic). The decoded
+        labels are always verified against v, and RuntimeError is
+        raised when no attempt reproduces it.
         """
         from .residue import crt_reconstruct
         from .resonator import ResonatorConfig, _modular_codebook, resonator_factorize
 
         books = [_modular_codebook(base) for triplet in self.triplets for base in triplet]
-        cfg = config if config is not None else ResonatorConfig(max_iters=30, max_restarts=5, verify=True)
+        cfg = replace(config or ResonatorConfig(max_iters=30, max_restarts=5), verify=True)
         state = resonator_factorize(v, books, cfg)
         if not state.converged:
             raise RuntimeError("resonator failed to factorize the hexagonal encoding")

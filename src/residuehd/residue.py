@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -153,13 +153,13 @@ def make_residue_system(moduli, D: int, seed: int, nonzero_only: bool = False) -
     moduli = tuple(int(m) for m in moduli)
     bases = []
     for k, m in enumerate(moduli):
-        child = _child_seed(seed, k)
-        bases.append(sample_base(m, D, child, nonzero_only=nonzero_only))
+        bases.append(sample_base(m, D, _child_seeds(seed, (k,))[0], nonzero_only=nonzero_only))
     return ResidueSystem(moduli, bases, seed=int(seed), nonzero_only=nonzero_only)
 
 
-def _child_seed(seed: int, k: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(1)[0])
+def _child_seeds(seed: int, key: tuple[int, ...], n: int = 1) -> list[int]:
+    """n integer seeds drawn from the child of `seed` at spawn key `key`."""
+    return [int(s) for s in np.random.SeedSequence(seed, spawn_key=key).generate_state(n)]
 
 
 def add(sys: ResidueSystem, a: PhasorVector, b: PhasorVector) -> PhasorVector:
@@ -259,7 +259,9 @@ def multiply(sys: ResidueSystem, a, b, config=None) -> PhasorVector:
 def _recover_factors(sys: ResidueSystem, v: PhasorVector, config) -> list[PhasorVector]:
     from .resonator import ResonatorConfig, build_residue_codebooks, resonator_factorize
 
-    cfg = config if config is not None else ResonatorConfig()
+    # an input that is no product of codebook entries can still reach ALPHA;
+    # only the check of the decoded labels against v tells it from an answer
+    cfg = replace(config or ResonatorConfig(), verify=True)
     state = resonator_factorize(v, build_residue_codebooks(sys), cfg)
     if not state.converged:
         raise RuntimeError("resonator failed to factorize composed operand")

@@ -8,7 +8,7 @@ factor is pulled apart by iterating, one factor at a time,
 where Z_j stacks factor j's codebook entries and g projects every
 component back onto the unit circle. The loop runs asynchronous sweeps
 (each factor once per sweep) until the cosine similarity between
-successive full states reaches a threshold alpha.
+successive full states reaches the threshold ALPHA.
 
 Decoding a residue-encoded integer is factorization over the
 per-modulus codebooks followed by Chinese-remainder reconstruction;
@@ -23,6 +23,7 @@ noise sweep used to map how far a given dimension can be pushed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -30,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasor import ModulusBase, NoiseModel, PhasorVector, add_phase_noise, encode_integer
-from .residue import ResidueSystem, _is_prime, crt_reconstruct, make_residue_system
+from .phasor import ModulusBase, NoiseModel, PhasorVector, add_phase_noise, phase_normalize
+from .residue import ResidueSystem, _child_seeds, _is_prime, crt_reconstruct, make_residue_system
 
 __all__ = [
     "Codebook",
@@ -83,9 +84,20 @@ class Codebook:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """conj(Z) @ x: the inner product of every entry with x.
+
+        Conjugating the D-vector and the m results instead of the m x D
+        matrix gives the same bits with no conjugate copy of the matrix.
+        """
+        return (self.matrix @ x.conj()).conj()
+
     def __repr__(self):
         return f"Codebook(n={self.n_entries}, D={self.dim})"
 
+
+# successive-state similarity at which an attempt's sweeps stop
+ALPHA = 0.95
 
 # cosine between the input and the product of the claimed codebook entries
 # that verification requires; a right claim on a clean input scores 1.0, a
@@ -97,24 +109,21 @@ VERIFY_THRESHOLD = 0.5
 class ResonatorConfig:
     """Knobs for the factorization loop.
 
-    alpha is the successive-state similarity threshold that ends an
-    attempt's sweeps early. Without verify, reaching alpha is what
-    accepts an attempt. With verify, an attempt is accepted when the
-    Hadamard product of the codebook entries it decoded has cosine at
-    least VERIFY_THRESHOLD with the input, whether or not it reached
-    alpha; a spurious fixed point fails this check and the loop
-    restarts from fresh random phases, up to max_restarts times.
+    An attempt's sweeps end early once the successive-state similarity
+    reaches ALPHA. Without verify, reaching it is what accepts an
+    attempt. With verify, an attempt is accepted when the Hadamard
+    product of the codebook entries it decoded has cosine at least
+    VERIFY_THRESHOLD with the input, whether or not it reached ALPHA;
+    a spurious fixed point fails this check and the loop restarts
+    from fresh random phases, up to max_restarts times.
     """
 
-    alpha: float = 0.95
     max_iters: int = 50
     max_restarts: int = 0
     seed: int | None = None
     verify: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.max_restarts < 0:
@@ -128,7 +137,7 @@ class ResonatorState:
     converged is True when an attempt was accepted: with verify, its
     decoded labels reproduce the input (so they are the answer for any
     input that is a clean product of codebook entries); without verify,
-    it reached the alpha threshold.
+    its successive-state similarity reached ALPHA.
     """
 
     estimates: np.ndarray  # (K, D) complex, unit magnitude
@@ -148,11 +157,14 @@ class ResonatorState:
 def _modular_codebook(base: ModulusBase) -> Codebook:
     """Entries z_m(0) .. z_m(m-1) of one base, labels 0..m-1."""
     m = base.modulus
+    # entry r is encode_integer(base, r): the m-th root of unity at index
+    # (u_j * r) mod m, looked up instead of one complex exp per component
+    roots = PhasorVector.exact(np.arange(m), m).values
     # rows are written in place: a list of m encodings would double the
     # peak memory of a large codebook
     rows = np.empty((m, base.dim), dtype=np.complex128)
     for r in range(m):
-        rows[r] = encode_integer(base, r).values
+        rows[r] = roots[(base.phase_indices * r) % m]
     return Codebook(rows, range(m))
 
 
@@ -170,27 +182,26 @@ def codebook_decode(v, codebook: Codebook, state: ResonatorState | None = None):
     vals = v.values if isinstance(v, PhasorVector) else np.asarray(v)
     if vals.shape[0] != codebook.dim:
         raise ValueError(f"dimension mismatch: {vals.shape[0]} vs {codebook.dim}")
-    scores = (codebook.matrix.conj() @ vals).real
+    scores = codebook.project(vals).real
     if state is not None:
         state.codebook_evaluations += codebook.n_entries
     best = np.flatnonzero(scores == scores.max())
     return min(codebook.labels[i] for i in best)
 
 
-def _unit_normalize(vals: np.ndarray) -> np.ndarray:
-    mags = np.abs(vals)
-    return np.where(mags > 0.0, vals / np.where(mags > 0.0, mags, 1.0), 1.0 + 0.0j)
+def _unbind_project(v_vals, estimates: np.ndarray, codebook: Codebook, j: int) -> np.ndarray:
+    """Factor j's coefficients: conj(Z_j) @ (v (.) prod_{i != j} conj(est_i))."""
+    residual = v_vals.copy()
+    for i in range(estimates.shape[0]):
+        if i != j:
+            residual *= estimates[i].conj()
+    return codebook.project(residual)
 
 
 def _step_inplace(v_vals, state: ResonatorState, codebooks, j: int) -> None:
     est = state.estimates
-    residual = v_vals.copy()
-    for i in range(est.shape[0]):
-        if i != j:
-            residual *= est[i].conj()
-    coeffs = codebooks[j].matrix.conj() @ residual
-    cleaned = coeffs @ codebooks[j].matrix
-    est[j] = _unit_normalize(cleaned)
+    coeffs = _unbind_project(v_vals, est, codebooks[j], j)
+    est[j] = phase_normalize(coeffs @ codebooks[j].matrix).values
     state.codebook_evaluations += codebooks[j].n_entries
     if state.label_idx is None:
         state.label_idx = np.zeros(est.shape[0], dtype=np.int64)
@@ -270,7 +281,7 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
             state.iteration += 1
             sim = float(np.real(np.vdot(prev.ravel(), state.estimates.ravel())) / (K * D))
             state.final_similarity = sim
-            if sim >= config.alpha:
+            if sim >= ALPHA:
                 reached_alpha = True
                 break
         score = _claim_cosine(v_vals, codebooks, state.label_idx)
@@ -330,24 +341,13 @@ def sub_integer_decode(
     state = resonator_factorize(v, books, config)
     v_vals = v.values if isinstance(v, PhasorVector) else np.asarray(v)
     M = sys.range_M
-    K = len(books)
     # nearest and runner-up integer per modulus, by gauge-invariant magnitude
     top2 = []
-    for j in range(K):
-        residual = v_vals.copy()
-        for i in range(K):
-            if i != j:
-                residual *= state.estimates[i].conj()
-        coeffs = np.abs(books[j].matrix.conj() @ residual)
-        state.codebook_evaluations += books[j].n_entries
-        order = np.argsort(-coeffs)
-        top2.append([int(order[0])] if books[j].n_entries == 1 else [int(order[0]), int(order[1])])
-    anchors = sorted(
-        {
-            crt_reconstruct([combo[j] for j in range(K)], sys.moduli)
-            for combo in _combinations(top2)
-        }
-    )
+    for j, book in enumerate(books):
+        coeffs = np.abs(_unbind_project(v_vals, state.estimates, book, j))
+        state.codebook_evaluations += book.n_entries
+        top2.append([int(i) for i in np.argsort(-coeffs)[:2]])
+    anchors = sorted({crt_reconstruct(combo, sys.moduli) for combo in itertools.product(*top2)})
     offsets = [Fraction(j, r) for j in range(-(r - 1), r)]
     best_value, best_score = None, -np.inf
     for anchor in anchors:
@@ -358,15 +358,6 @@ def sub_integer_decode(
             if score > best_score:
                 best_value, best_score = anchor + off, score
     return Fraction(best_value.numerator % (M * best_value.denominator), best_value.denominator), state
-
-
-def _combinations(choices_per_slot):
-    if not choices_per_slot:
-        yield []
-        return
-    for head in choices_per_slot[0]:
-        for tail in _combinations(choices_per_slot[1:]):
-            yield [head] + tail
 
 
 def subinteger_overlay(
@@ -388,7 +379,7 @@ def subinteger_overlay(
     state = resonator_factorize(v, books, config or ResonatorConfig(max_iters=50))
     rows = []
     for j, (base, book) in enumerate(zip(sys.bases, books)):
-        coeffs = np.abs(book.matrix.conj() @ state.estimates[j]) / sys.dim
+        coeffs = np.abs(book.project(state.estimates[j])) / sys.dim
         for r in range(base.modulus):
             predicted = abs(analytic_kernel(base.modulus, q - r))
             rows.append((base.modulus, r, float(coeffs[r]), float(predicted)))
@@ -427,10 +418,6 @@ def consecutive_primes(start: int, count: int) -> list[int]:
     return out
 
 
-def _trial_seeds(seed: int, key: tuple[int, ...], n: int) -> list[int]:
-    return [int(s) for s in np.random.SeedSequence(seed, spawn_key=key).generate_state(n)]
-
-
 def decode_accuracy(
     sys: ResidueSystem,
     trials: int,
@@ -454,7 +441,7 @@ def decode_accuracy(
     base_cfg = config or ResonatorConfig(max_iters=30, max_restarts=3, verify=math.isinf(kappa))
     hits, evaluations = [], []
     for t in range(trials):
-        s_x, s_noise, s_res = _trial_seeds(seed, (t,), 3)
+        s_x, s_noise, s_res = _child_seeds(seed, (t,), 3)
         x = int(np.random.default_rng(s_x).integers(M))
         vec = sys.encode(x)
         if not math.isinf(kappa):
@@ -545,10 +532,10 @@ def capacity_experiment(
             continue
         if max_M is not None and M > max_M:
             break
-        sys_seed = _trial_seeds(seed, (window_number, 0), 1)[0]
+        sys_seed = _child_seeds(seed, (window_number, 0))[0]
         sys = make_residue_system(moduli, D, sys_seed)
         acc, mean_evals = decode_accuracy(
-            sys, trials, kappa=kappa, seed=_trial_seeds(seed, (window_number, 1), 1)[0],
+            sys, trials, kappa=kappa, seed=_child_seeds(seed, (window_number, 1))[0],
             config=config,
         )
         result.points.append(
@@ -582,7 +569,7 @@ def subinteger_experiment(
     base_cfg = config or ResonatorConfig(max_iters=30)
     hits = 0
     for t in range(trials):
-        s_x, s_noise, s_res = _trial_seeds(seed, (t,), 3)
+        s_x, s_noise, s_res = _child_seeds(seed, (t,), 3)
         rng = np.random.default_rng(s_x)
         truth = Fraction(int(rng.integers(M)) * r + int(rng.integers(r)), r)
         vec = sys.encode_rational(float(truth))

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .phasor import phase_normalize
-from .residue import ResidueSystem, crt_reconstruct
+from .residue import ResidueSystem, _child_seeds, crt_reconstruct
 from .resonator import Codebook, ResonatorConfig, build_residue_codebooks, resonator_factorize
 
 __all__ = [
@@ -153,8 +153,8 @@ class SceneCodec:
     """Binds feature maps into scene vectors and factorizes them back.
 
     Holds the horizontal/vertical residue systems, the random feature
-    identity vectors, and cached position encodings (reused as the
-    standard-mode position codebooks).
+    identity vectors, and cached position encodings together with the
+    position codebooks of both factor layouts built from them.
     """
 
     def __init__(self, hsys: ResidueSystem, vsys: ResidueSystem, n_features: int, seed: int):
@@ -169,11 +169,19 @@ class SceneCodec:
         self.feature_vectors = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_features, self.dim)))
         self._h_values = None
         self._v_values = None
+        self._layouts = None
 
     def _positions(self):
         if self._h_values is None:
             self._h_values = np.stack([self.hsys.encode(x).values for x in range(self.hsys.range_M)])
             self._v_values = np.stack([self.vsys.encode(y).values for y in range(self.vsys.range_M)])
+            self._layouts = {
+                "standard": [
+                    Codebook(self._h_values, range(self.hsys.range_M)),
+                    Codebook(self._v_values, range(self.vsys.range_M)),
+                ],
+                "residue": build_residue_codebooks(self.hsys) + build_residue_codebooks(self.vsys),
+            }
         return self._h_values, self._v_values
 
     def encode_scene(self, maps: FeatureMaps) -> SceneVector:
@@ -209,16 +217,8 @@ class SceneCodec:
         """Recover (object, x, y) with a standard or residue factor layout."""
         if mode not in ("standard", "residue"):
             raise ValueError(f"unknown mode {mode!r}")
-        obj_book = _normalized_codebook(object_codebook, self.dim)
-        h_vals, v_vals = self._positions()
-        if mode == "standard":
-            books = [
-                obj_book,
-                Codebook(h_vals, list(range(self.hsys.range_M))),
-                Codebook(v_vals, list(range(self.vsys.range_M))),
-            ]
-        else:
-            books = [obj_book] + build_residue_codebooks(self.hsys) + build_residue_codebooks(self.vsys)
+        self._positions()  # builds the layouts on first use
+        books = [_normalized_codebook(object_codebook, self.dim)] + self._layouts[mode]
         total_vectors = sum(cb.n_entries for cb in books)
         config = config or ResonatorConfig(max_iters=15, max_restarts=9, verify=True)
         z = phase_normalize(s.values)
@@ -295,8 +295,7 @@ def scene_experiment(
     """
     from .residue import make_residue_system
 
-    root = np.random.SeedSequence(seed)
-    s_h, s_v, s_codec, s_obj, s_scene = (int(v) for v in root.generate_state(5))
+    s_h, s_v, s_codec, s_obj, s_scene = _child_seeds(seed, (), 5)
     hsys = make_residue_system(moduli, D, s_h)
     vsys = make_residue_system(moduli, D, s_v)
     codec = SceneCodec(hsys, vsys, n_features, s_codec)
@@ -316,7 +315,7 @@ def scene_experiment(
         evals = []
         vectors = None
         for t, (i, dx, dy, s) in enumerate(scenes):
-            cfg = replace(base_cfg, seed=int(np.random.SeedSequence(seed, spawn_key=(m_idx, t)).generate_state(1)[0]))
+            cfg = replace(base_cfg, seed=_child_seeds(seed, (m_idx, t))[0])
             dec = codec.factorize_scene(s, object_cb, mode=mode, config=cfg)
             vectors = dec.total_codebook_vectors
             evals.append(dec.evaluations)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .residue import ResidueSystem, make_residue_system
+from .residue import ResidueSystem, _child_seeds, make_residue_system
 from .resonator import Codebook, ResonatorConfig, resonator_factorize
 
 __all__ = [
@@ -247,11 +247,11 @@ def benchmark(
     base_cfg = config or ResonatorConfig(max_iters=30, max_restarts=19)
     for D in D_values:
         for n in sizes:
-            sys = make_subsetsum_system(m, D, int(np.random.SeedSequence(seed, spawn_key=(D, n, 0)).generate_state(1)[0]))
+            sys = make_subsetsum_system(m, D, _child_seeds(seed, (D, n, 0))[0])
             results = []
             seconds = []
             for t in range(trials):
-                inst_seed = int(np.random.SeedSequence(seed, spawn_key=(D, n, 1, t)).generate_state(1)[0])
+                inst_seed = _child_seeds(seed, (D, n, 1, t))[0]
                 inst = generate_instance(n, sys, inst_seed)
                 t0 = time.perf_counter()
                 res = solve(inst, sys, replace(base_cfg, seed=inst_seed))

@@ -210,6 +210,17 @@ class TestHexEncoding:
         with pytest.raises(RuntimeError):
             hs.decode(v, ResonatorConfig(max_iters=3, verify=True, seed=0))
 
+    def test_decode_verifies_without_verify_flag(self):
+        from residuehd.resonator import ResonatorConfig
+
+        # random phases reach the convergence threshold within three sweeps
+        hs = HexSystem((3, 5), 256, seed=0)
+        rng = np.random.default_rng(21)
+        for t in range(5):
+            v = np.exp(1j * rng.uniform(0, 2 * np.pi, hs.dim))
+            with pytest.raises(RuntimeError):
+                hs.decode(v, ResonatorConfig(max_iters=3, seed=t))
+
 
 class TestStateCounting:
     def test_minimal(self):

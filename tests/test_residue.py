@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from residuehd.phasor import ModulusBase, encode_integer
+from residuehd.phasor import ModulusBase, PhasorVector, encode_integer
 from residuehd.residue import (
     add,
     anti_base,
@@ -183,6 +183,18 @@ class TestMultiply:
         cfg = ResonatorConfig(max_iters=30, max_restarts=3, verify=True, seed=0)
         prod = multiply(sys, sys.encode(4), sys.encode(9), config=cfg)
         assert prod == sys.encode(36)
+
+    def test_composed_mode_rejects_non_product(self):
+        from residuehd.resonator import ResonatorConfig
+
+        # random phases reach the convergence threshold without being a
+        # product of codebook entries; the decoded factors must be checked
+        sys = make_residue_system([3, 5, 7], 256, seed=0, nonzero_only=True)
+        rng = np.random.default_rng(20)
+        for t in range(5):
+            noise = PhasorVector.dense(np.exp(1j * rng.uniform(0, 2 * np.pi, sys.dim)))
+            with pytest.raises(RuntimeError):
+                multiply(sys, noise, sys.encode(2), config=ResonatorConfig(seed=t))
 
     def test_composite_modulus_rejected(self):
         sys = make_residue_system([4, 9], 16, seed=104, nonzero_only=True)

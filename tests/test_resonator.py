@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
+from hypothesis.extra.numpy import arrays
 
 from residuehd.phasor import NoiseModel, add_phase_noise, encode_integer, similarity
 from residuehd.residue import make_residue_system
 from residuehd.resonator import (
+    ALPHA,
     CapacityResult,
     Codebook,
     ResonatorConfig,
@@ -44,11 +47,24 @@ class TestCodebooks:
     def test_entries_are_residue_encodings(self, sys357, books357):
         for base, cb in zip(sys357.bases, books357):
             for r in range(base.modulus):
-                assert np.allclose(cb.matrix[r], encode_integer(base, r).values)
+                assert np.array_equal(cb.matrix[r], encode_integer(base, r).values)
 
     def test_label_uniqueness_enforced(self):
         with pytest.raises(ValueError):
             Codebook(np.ones((2, 4), dtype=complex), [0, 0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=strategies.data(), m=strategies.integers(1, 12), D=strategies.integers(1, 96),
+           real_x=strategies.booleans())
+    def test_project_equals_conjugate_matmul(self, data, m, D, real_x):
+        entry = strategies.complex_numbers(max_magnitude=1e6)
+        matrix = data.draw(arrays(np.complex128, (m, D), elements=entry))
+        if real_x:
+            x = data.draw(arrays(np.float64, D, elements=strategies.floats(-1e6, 1e6)))
+        else:
+            x = data.draw(arrays(np.complex128, D, elements=entry))
+        cb = Codebook(matrix, range(m))
+        assert np.array_equal(cb.project(x), cb.matrix.conj() @ x)
 
 
 class TestCodebookDecode:
@@ -153,7 +169,7 @@ class TestFactorize:
     def test_convergence_claim_requires_alpha(self, sys357, books357):
         st = resonator_factorize(sys357.encode(5), books357, ResonatorConfig(max_iters=30, seed=4))
         if st.converged:
-            assert st.final_similarity >= 0.95
+            assert st.final_similarity >= ALPHA
 
     def test_non_finite_input_rejected(self):
         sys = make_residue_system([3, 5], 64, seed=0)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from residuehd import scene
 from residuehd.residue import make_residue_system
 from residuehd.resonator import ResonatorConfig
 from residuehd.scene import (
@@ -149,6 +150,23 @@ class TestFactorization:
                 dec = codec.factorize_scene(s, cb, mode=mode, config=cfg)
                 hits += (dec.object_id, dec.x, dec.y) == (i, dx, dy)
             assert hits >= 7
+
+    def test_residue_layout_built_once(self, monkeypatch):
+        calls = []
+        build = scene.build_residue_codebooks
+
+        def counting_build(sys):
+            calls.append(sys)
+            return build(sys)
+
+        monkeypatch.setattr(scene, "build_residue_codebooks", counting_build)
+        codec = small_codec()
+        objects = make_synthetic_objects(3, 4, (105, 105), seed=9)
+        cb = codec.build_object_codebook(objects)
+        cfg = ResonatorConfig(max_iters=5, seed=0)
+        for dx in (4, 50):
+            codec.factorize_scene(codec.encode_scene(translate_maps(objects[1], dx, 7)), cb, "residue", cfg)
+        assert calls == [codec.hsys, codec.vsys]
 
     def test_unknown_mode_rejected(self):
         codec = small_codec()
