@@ -17,10 +17,12 @@ import argparse
 import hashlib
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .baselines import (
@@ -153,7 +155,12 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
         "config_sha256": hashlib.sha256(blob.encode("ascii")).hexdigest(),
         "config_version": _CONFIG_VERSION,
         "seed": config.get("seed"),
-        "versions": {"residuehd": __version__, "numpy": np.__version__},
+        "versions": {
+            "residuehd": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        },
     }
     with open(outdir / "manifest.json", "w", encoding="ascii") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -201,11 +208,7 @@ def _cmd_capacity(cfg, outdir):
         stop_threshold=cfg["stop_threshold"],
         trials=cfg["trials"],
         seed=cfg["seed"],
-        config=ResonatorConfig(
-            max_iters=cfg["max_iters"],
-            max_restarts=3,
-            verify=math.isinf(cfg["kappa"]),
-        ),
+        config=ResonatorConfig(max_iters=cfg["max_iters"], max_restarts=3),
         growth=cfg["growth"],
         max_M=cfg["max_M"],
     )
@@ -338,7 +341,7 @@ def _cmd_scene(cfg, outdir):
         grid=tuple(cfg["grid"]),
         moduli=cfg["moduli"],
         seed=cfg["seed"],
-        config=ResonatorConfig(max_iters=15, max_restarts=cfg["restarts"], verify=True),
+        config=ResonatorConfig(max_iters=15, max_restarts=cfg["restarts"]),
     )
     records = [
         {"mode": mode, "D": out["D"], "grid": out["grid"], "moduli": out["moduli"], "seed": cfg["seed"], **stats}

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -101,7 +100,7 @@ def round_to_hex_coord(y) -> np.ndarray:
 class HexSystem:
     """Hexagonal residue code: one constrained base triplet per modulus."""
 
-    __slots__ = ("moduli", "dim", "seed", "triplets")
+    __slots__ = ("moduli", "dim", "seed", "triplets", "_books")
 
     def __init__(self, moduli, D: int, seed: int):
         if isinstance(moduli, int):
@@ -112,6 +111,7 @@ class HexSystem:
         self.dim = D
         self.seed = int(seed)
         self.triplets = tuple(sample_hex_base(m, D, _child_seeds(seed, (k,))[0]) for k, m in enumerate(moduli))
+        self._books = None  # the 3K direction codebooks, built on the first decode
 
     @property
     def range_M(self) -> int:
@@ -143,16 +143,15 @@ class HexSystem:
         per-modulus coordinate differences (which are invariant to the
         diagonal shift each modulus admits independently), CRT-combine
         them per axis, and return the class representative with the
-        smallest maximum coordinate (ties lexicographic). The decoded
-        labels are always verified against v, and RuntimeError is
-        raised when no attempt reproduces it.
+        smallest maximum coordinate (ties lexicographic). RuntimeError
+        is raised when no attempt's decoded labels reproduce v.
         """
         from .residue import crt_reconstruct
         from .resonator import ResonatorConfig, _modular_codebook, resonator_factorize
 
-        books = [_modular_codebook(base) for triplet in self.triplets for base in triplet]
-        cfg = replace(config or ResonatorConfig(max_iters=30, max_restarts=5), verify=True)
-        state = resonator_factorize(v, books, cfg)
+        if self._books is None:
+            self._books = [_modular_codebook(base) for triplet in self.triplets for base in triplet]
+        state = resonator_factorize(v, self._books, config or ResonatorConfig(max_iters=30, max_restarts=5))
         if not state.converged:
             raise RuntimeError("resonator failed to factorize the hexagonal encoding")
         labels = state.labels

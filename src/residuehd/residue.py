@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -259,10 +259,7 @@ def multiply(sys: ResidueSystem, a, b, config=None) -> PhasorVector:
 def _recover_factors(sys: ResidueSystem, v: PhasorVector, config) -> list[PhasorVector]:
     from .resonator import ResonatorConfig, build_residue_codebooks, resonator_factorize
 
-    # an input that is no product of codebook entries can still reach ALPHA;
-    # only the check of the decoded labels against v tells it from an answer
-    cfg = replace(config or ResonatorConfig(), verify=True)
-    state = resonator_factorize(v, build_residue_codebooks(sys), cfg)
+    state = resonator_factorize(v, build_residue_codebooks(sys), config or ResonatorConfig())
     if not state.converged:
         raise RuntimeError("resonator failed to factorize composed operand")
     return [encode_integer(base, r) for base, r in zip(sys.bases, state.labels)]

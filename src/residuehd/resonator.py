@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -100,7 +100,7 @@ class Codebook:
 ALPHA = 0.95
 
 # cosine between the input and the product of the claimed codebook entries
-# that verification requires; a right claim on a clean input scores 1.0, a
+# that accepts an attempt; a right claim on a clean input scores 1.0, a
 # wrong one about 1/sqrt(D)
 VERIFY_THRESHOLD = 0.5
 
@@ -110,20 +110,21 @@ class ResonatorConfig:
     """Knobs for the factorization loop.
 
     An attempt's sweeps end early once the successive-state similarity
-    reaches ALPHA. Without verify, reaching it is what accepts an
-    attempt. With verify, an attempt is accepted when the Hadamard
-    product of the codebook entries it decoded has cosine at least
-    VERIFY_THRESHOLD with the input, whether or not it reached ALPHA;
-    a spurious fixed point fails this check and the loop restarts
-    from fresh random phases, up to max_restarts times.
+    reaches ALPHA. An attempt is accepted when the Hadamard product of
+    the codebook entries it decoded has cosine at least VERIFY_THRESHOLD
+    with the input; otherwise the loop restarts from fresh random
+    phases, up to max_restarts times. `verify` is accepted for old
+    callers only and must be True.
     """
 
     max_iters: int = 50
     max_restarts: int = 0
     seed: int | None = None
-    verify: bool = False
+    verify: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, verify):
+        if not verify:
+            raise ValueError("every resonator run verifies its answer; verify=False is not supported")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.max_restarts < 0:
@@ -134,10 +135,11 @@ class ResonatorConfig:
 class ResonatorState:
     """Per-factor estimates plus convergence and cost bookkeeping.
 
-    converged is True when an attempt was accepted: with verify, its
-    decoded labels reproduce the input (so they are the answer for any
-    input that is a clean product of codebook entries); without verify,
-    its successive-state similarity reached ALPHA.
+    converged is True when an attempt's decoded labels reproduce the
+    input, so they are the answer for any input that is a clean product
+    of codebook entries. claim_cosine is that check's score for the
+    returned attempt: the cosine between the input and the product of
+    its decoded entries.
     """
 
     estimates: np.ndarray  # (K, D) complex, unit magnitude
@@ -146,6 +148,7 @@ class ResonatorState:
     codebook_evaluations: int = 0
     restarts_used: int = 0
     final_similarity: float = 0.0  # last successive-state similarity
+    claim_cosine: float = 0.0
     labels: tuple | None = None  # decoded label per factor
     label_idx: np.ndarray | None = None  # argmax row per factor
 
@@ -273,7 +276,6 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
                                     if config.seed is not None else seed_root.spawn(1)[0])
         state.estimates = _random_init(codebooks, rng)
         state.restarts_used = attempt
-        reached_alpha = False
         for _ in range(config.max_iters):
             prev = state.estimates.copy()
             for j in range(K):
@@ -282,17 +284,15 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
             sim = float(np.real(np.vdot(prev.ravel(), state.estimates.ravel())) / (K * D))
             state.final_similarity = sim
             if sim >= ALPHA:
-                reached_alpha = True
                 break
-        score = _claim_cosine(v_vals, codebooks, state.label_idx)
-        accepted = score >= VERIFY_THRESHOLD if config.verify else reached_alpha
-        if accepted:
+        state.claim_cosine = _claim_cosine(v_vals, codebooks, state.label_idx)
+        if state.claim_cosine >= VERIFY_THRESHOLD:
             state.converged = True
             break
-        if best is None or score > best[0]:
-            best = (score, state.estimates.copy(), state.label_idx.copy())
+        if best is None or state.claim_cosine > best[0]:
+            best = (state.claim_cosine, state.estimates.copy(), state.label_idx.copy())
     else:
-        _, state.estimates, state.label_idx = best
+        state.claim_cosine, state.estimates, state.label_idx = best
 
     state.labels = tuple(codebooks[j].labels[int(state.label_idx[j])] for j in range(K))
     return state
@@ -428,17 +428,13 @@ def decode_accuracy(
     """Round-trip decode accuracy over random integers, with optional phase noise.
 
     Returns (accuracy, mean_evaluations), deterministic per seed.
-
-    Without an explicit config, clean-input runs verify the decoded
-    answer against the input and restart stuck attempts (the mismatch
-    is unmistakable, roughly 1/sqrt(D) vs 1.0 cosine); noisy runs skip
-    verification because a correct answer only matches the noisy
-    input at about I1(kappa)/I0(kappa), which can sit below any fixed
-    threshold.
+    A right answer matches a noisy input only at about
+    I1(kappa)/I0(kappa), which can sit below VERIFY_THRESHOLD; such a
+    decode runs every attempt and returns the best-scoring one.
     """
     M = sys.range_M
     books = build_residue_codebooks(sys)
-    base_cfg = config or ResonatorConfig(max_iters=30, max_restarts=3, verify=math.isinf(kappa))
+    base_cfg = config or ResonatorConfig(max_iters=30, max_restarts=3)
     hits, evaluations = [], []
     for t in range(trials):
         s_x, s_noise, s_res = _child_seeds(seed, (t,), 3)

@@ -220,7 +220,7 @@ class SceneCodec:
         self._positions()  # builds the layouts on first use
         books = [_normalized_codebook(object_codebook, self.dim)] + self._layouts[mode]
         total_vectors = sum(cb.n_entries for cb in books)
-        config = config or ResonatorConfig(max_iters=15, max_restarts=9, verify=True)
+        config = config or ResonatorConfig(max_iters=15, max_restarts=9)
         z = phase_normalize(s.values)
         state = resonator_factorize(z, books, config)
         if mode == "standard":
@@ -309,7 +309,7 @@ def scene_experiment(
         dy = int(scene_rng.integers(grid[0]))
         scenes.append((i, dx, dy, codec.encode_scene(translate_maps(objects[i], dx, dy))))
     out = {"D": D, "n_objects": n_objects, "grid": list(grid), "moduli": list(moduli), "modes": {}}
-    base_cfg = config or ResonatorConfig(max_iters=15, max_restarts=9, verify=True)
+    base_cfg = config or ResonatorConfig(max_iters=15, max_restarts=9)
     for m_idx, mode in enumerate(modes):
         hits = 0
         evals = []

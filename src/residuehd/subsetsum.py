@@ -164,7 +164,7 @@ def solve(
         raise ValueError("instance violates M > sum(S)")
     config = config or ResonatorConfig(max_iters=30, max_restarts=19)
     books = build_factors(instance.items, sys)
-    state = resonator_factorize(sys.encode(instance.target), books, replace(config, verify=True))
+    state = resonator_factorize(sys.encode(instance.target), books, config)
     subset = tuple(int(i) for i in np.flatnonzero(np.asarray(state.labels)))
     success = state.converged and sum(instance.items[i] for i in subset) == instance.target
     return SubsetSumResult(

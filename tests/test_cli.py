@@ -1,8 +1,13 @@
 """Command-line harness: manifests, determinism, config precedence."""
 
 import json
+import platform
 
+import numpy as np
 import pytest
+import scipy
+
+import residuehd
 
 from residuehd.cli import main
 
@@ -23,7 +28,12 @@ class TestKernelCommand:
         assert manifest["config"]["m"] == 5
         assert manifest["config"]["D"] == 4000
         assert manifest["seed"] == 3
-        assert "numpy" in manifest["versions"]
+        assert manifest["versions"] == {
+            "residuehd": residuehd.__version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        }
 
     def test_reruns_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

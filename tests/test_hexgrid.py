@@ -198,9 +198,21 @@ class TestHexEncoding:
         rng = np.random.default_rng(18)
         for trial in range(10):
             y = tuple(int(v) for v in rng.integers(0, M, size=3))
-            cfg = ResonatorConfig(max_iters=30, max_restarts=5, verify=True, seed=trial)
+            cfg = ResonatorConfig(max_iters=30, max_restarts=5, seed=trial)
             decoded = hs.decode(hs.encode(y), cfg)
             assert decoded == canonical(y)
+
+    def test_codebooks_built_once(self, monkeypatch):
+        from residuehd import resonator
+        from residuehd.resonator import ResonatorConfig
+
+        builder = resonator._modular_codebook
+        built = []
+        monkeypatch.setattr(resonator, "_modular_codebook", lambda base: built.append(base) or builder(base))
+        hs = HexSystem((3, 5), 1024, seed=17)
+        for t, y in enumerate([(1, 2, 0), (4, 0, 3)]):
+            hs.decode(hs.encode(y), ResonatorConfig(max_iters=30, max_restarts=5, seed=t))
+        assert len(built) == 3 * len(hs.moduli)
 
     def test_decode_failure_raises(self):
         from residuehd.resonator import ResonatorConfig
@@ -208,7 +220,7 @@ class TestHexEncoding:
         hs = HexSystem((3, 5), 256, seed=0)
         v = np.exp(1j * np.random.default_rng(19).uniform(0, 2 * np.pi, hs.dim))
         with pytest.raises(RuntimeError):
-            hs.decode(v, ResonatorConfig(max_iters=3, verify=True, seed=0))
+            hs.decode(v, ResonatorConfig(max_iters=3, seed=0))
 
     def test_decode_verifies_without_verify_flag(self):
         from residuehd.resonator import ResonatorConfig

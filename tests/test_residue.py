@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies
 
 from residuehd.phasor import ModulusBase, PhasorVector, encode_integer
 from residuehd.residue import (
@@ -20,6 +21,28 @@ from residuehd.residue import (
     system_from_dict,
     system_to_dict,
 )
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+integers = strategies.integers(-10**9, 10**9)
+
+
+@strategies.composite
+def prime_systems(draw):
+    """Small residue systems over distinct primes that admit multiplication."""
+    moduli = draw(strategies.lists(strategies.sampled_from(SMALL_PRIMES), min_size=1, max_size=3, unique=True))
+    D = draw(strategies.integers(1, 24))
+    return make_residue_system(moduli, D, seed=draw(strategies.integers(0, 2**16)), nonzero_only=True)
+
+
+@strategies.composite
+def coprime_moduli(draw):
+    """Pairwise co-prime moduli: each drawn value is kept if it is co-prime to those before it."""
+    moduli = []
+    for m in draw(strategies.lists(strategies.integers(2, 60), min_size=1, max_size=5)):
+        if all(math.gcd(m, k) == 1 for k in moduli):
+            moduli.append(m)
+    return moduli
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +107,23 @@ class TestAddSubtract:
             x1, x2 = int(rng.integers(105)), int(rng.integers(105))
             assert add(sys357, sys357.encode(x1), sys357.encode(x2)) == sys357.encode((x1 + x2) % 105)
             assert subtract(sys357, sys357.encode(x1), sys357.encode(x2)) == sys357.encode((x1 - x2) % 105)
+
+
+class TestRingLaws:
+    @given(sys=prime_systems(), x1=integers, x2=integers)
+    def test_operations_agree_with_integers_mod_M(self, sys, x1, x2):
+        M = sys.range_M
+        assert add(sys, sys.encode(x1), sys.encode(x2)) == sys.encode((x1 + x2) % M)
+        assert subtract(sys, sys.encode(x1), sys.encode(x2)) == sys.encode((x1 - x2) % M)
+        prod = multiply(sys, sys.encode_factors(x1), sys.encode_factors(x2))
+        assert prod == sys.encode((x1 * x2) % M)
+
+    @given(sys=prime_systems(), x=integers, data=strategies.data())
+    def test_constant_inverse_undoes_multiplication(self, sys, x, data):
+        M = sys.range_M
+        c = data.draw(integers.filter(lambda c: math.gcd(c, M) == 1))
+        prod = multiply(sys, sys.encode_factors(x), sys.encode_factors(c))
+        assert multiply_by_constant_inverse(sys, prod, c) == sys.encode(x)
 
 
 class TestAntiBase:
@@ -180,7 +220,7 @@ class TestMultiply:
         from residuehd.resonator import ResonatorConfig
 
         sys = make_residue_system([3, 5, 7], 512, seed=103, nonzero_only=True)
-        cfg = ResonatorConfig(max_iters=30, max_restarts=3, verify=True, seed=0)
+        cfg = ResonatorConfig(max_iters=30, max_restarts=3, seed=0)
         prod = multiply(sys, sys.encode(4), sys.encode(9), config=cfg)
         assert prod == sys.encode(36)
 
@@ -295,6 +335,15 @@ class TestCRT:
     def test_exhaustive_round_trip(self):
         for x in range(105):
             assert crt_reconstruct([x % 3, x % 5, x % 7], [3, 5, 7]) == x
+
+    @given(moduli=coprime_moduli(), data=strategies.data())
+    def test_round_trip(self, moduli, data):
+        M = math.prod(moduli)
+        x = data.draw(strategies.integers(0, M - 1))
+        assert crt_reconstruct([x % m for m in moduli], moduli) == x
+        residues = [data.draw(strategies.integers(0, m - 1)) for m in moduli]
+        y = crt_reconstruct(residues, moduli)
+        assert 0 <= y < M and [y % m for m in moduli] == residues
 
     def test_errors(self):
         with pytest.raises(ValueError):

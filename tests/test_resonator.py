@@ -1,5 +1,6 @@
 """Factorization dynamics, decoding, cost accounting, capacity machinery."""
 
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from residuehd.phasor import NoiseModel, add_phase_noise, encode_integer, similarity
 from residuehd.residue import make_residue_system
 from residuehd.resonator import (
-    ALPHA,
+    VERIFY_THRESHOLD,
     CapacityResult,
     Codebook,
     ResonatorConfig,
@@ -84,6 +85,22 @@ class TestCodebookDecode:
     def test_dim_mismatch(self, books357):
         with pytest.raises(ValueError):
             codebook_decode(np.ones(3, dtype=complex), books357[0])
+
+    @given(data=strategies.data(), D=strategies.integers(1, 16))
+    def test_ties_go_to_lowest_label(self, data, D):
+        # small Gaussian integers keep every score exact, so duplicated
+        # rows tie exactly; the expected winner is found in integer arithmetic
+        small = strategies.integers(-2, 2)
+        distinct = data.draw(arrays(np.int64, (data.draw(strategies.integers(1, 4)), D, 2), elements=small))
+        rows = data.draw(strategies.lists(strategies.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+        labels = data.draw(strategies.lists(strategies.integers(-50, 50), min_size=len(rows),
+                                            max_size=len(rows), unique=True))
+        x = data.draw(arrays(np.int64, (D, 2), elements=small))
+        parts = distinct[rows]
+        scores = [int(np.sum(part[:, 0] * x[:, 0] + part[:, 1] * x[:, 1])) for part in parts]
+        expected = min(lab for lab, sc in zip(labels, scores) if sc == max(scores))
+        cb = Codebook(parts[..., 0] + 1j * parts[..., 1], labels)
+        assert codebook_decode(x[:, 0] + 1j * x[:, 1], cb) == expected
 
 
 class TestResonatorStep:
@@ -161,15 +178,49 @@ class TestFactorize:
     def test_adversarial_input_flagged(self, sys357, books357):
         rng = np.random.default_rng(2)
         v = np.exp(1j * rng.uniform(0, 2 * np.pi, sys357.dim))
-        cfg = ResonatorConfig(max_iters=20, max_restarts=2, verify=True, seed=3)
+        cfg = ResonatorConfig(max_iters=20, max_restarts=2, seed=3)
         st = resonator_factorize(v, books357, cfg)
         assert not st.converged
         assert st.labels is not None  # best-effort estimates still reported
 
-    def test_convergence_claim_requires_alpha(self, sys357, books357):
-        st = resonator_factorize(sys357.encode(5), books357, ResonatorConfig(max_iters=30, seed=4))
-        if st.converged:
-            assert st.final_similarity >= ALPHA
+    def test_convergence_claim_reproduces_input(self, sys357, books357):
+        rng = np.random.default_rng(4)
+        inputs = [sys357.encode(5).values, sys357.encode(88).values,
+                  np.exp(1j * rng.uniform(0, 2 * np.pi, sys357.dim))]
+        for t, v in enumerate(inputs):
+            st = resonator_factorize(v, books357, ResonatorConfig(max_iters=30, seed=t))
+            claim = np.prod([cb.matrix[i] for cb, i in zip(books357, st.label_idx)], axis=0)
+            cosine = np.real(np.vdot(claim, v)) / (np.linalg.norm(claim) * np.linalg.norm(v))
+            assert st.claim_cosine == pytest.approx(cosine, abs=1e-12)
+            assert st.converged == (st.claim_cosine >= VERIFY_THRESHOLD)
+
+    def test_claim_cosine_separates_clean_from_random(self, sys357, books357):
+        clean = resonator_factorize(sys357.encode(61), books357, ResonatorConfig(max_iters=30, seed=0))
+        assert clean.converged and clean.claim_cosine >= VERIFY_THRESHOLD
+        v = np.exp(1j * np.random.default_rng(8).uniform(0, 2 * np.pi, sys357.dim))
+        noise = resonator_factorize(v, books357, ResonatorConfig(max_iters=30, max_restarts=2, seed=0))
+        assert not noise.converged and noise.claim_cosine < VERIFY_THRESHOLD
+
+    def test_random_inputs_never_converge(self):
+        # the noise command's size and sweep budget; a random input settles
+        # to a fixed point there, but its decoded product does not match it
+        sys = make_residue_system([31, 37], 512, seed=0)
+        books = build_residue_codebooks(sys)
+        claimed = []
+        for t in range(200):
+            v = np.exp(1j * np.random.default_rng(t).uniform(0, 2 * np.pi, sys.dim))
+            if resonator_factorize(v, books, ResonatorConfig(max_iters=100, seed=t)).converged:
+                claimed.append(t)
+        assert claimed == []
+
+    def test_verify_cannot_be_switched_off(self):
+        with pytest.raises(ValueError):
+            ResonatorConfig(verify=False)
+        cfg = ResonatorConfig(max_iters=7, verify=True)
+        assert [f.name for f in fields(cfg)] == ["max_iters", "max_restarts", "seed"]
+        assert replace(cfg, seed=3) == ResonatorConfig(max_iters=7, seed=3)
+        with pytest.raises(ValueError):
+            replace(cfg, verify=False)
 
     def test_non_finite_input_rejected(self):
         sys = make_residue_system([3, 5], 64, seed=0)
@@ -180,7 +231,7 @@ class TestFactorize:
     def test_restart_budget_reporting(self, sys357, books357):
         rng = np.random.default_rng(5)
         v = np.exp(1j * rng.uniform(0, 2 * np.pi, sys357.dim))
-        st = resonator_factorize(v, books357, ResonatorConfig(max_iters=10, max_restarts=3, verify=True, seed=6))
+        st = resonator_factorize(v, books357, ResonatorConfig(max_iters=10, max_restarts=3, seed=6))
         assert st.restarts_used == 3
 
 
@@ -208,7 +259,7 @@ class TestDecodeResidueNumber:
         wrong = []
         for i in range(200):
             x = int(rng.integers(sys.range_M))
-            cfg = ResonatorConfig(max_iters=30, max_restarts=3, verify=True, seed=100 + i)
+            cfg = ResonatorConfig(max_iters=30, max_restarts=3, seed=100 + i)
             got, st = decode_residue_number(sys, sys.encode(x), cfg, codebooks=books)
             if st.converged and got != x:
                 wrong.append((x, 100 + i, got))

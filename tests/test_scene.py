@@ -129,7 +129,7 @@ class TestFactorization:
         objects = make_synthetic_objects(10, 4, (105, 105), seed=4)
         cb = codec.build_object_codebook(objects)
         s = codec.encode_scene(translate_maps(objects[0], 5, 9))
-        cfg = ResonatorConfig(max_iters=20, max_restarts=2, verify=True, seed=0)
+        cfg = ResonatorConfig(max_iters=20, max_restarts=2, seed=0)
         dec_std = codec.factorize_scene(s, cb, mode="standard", config=cfg)
         dec_res = codec.factorize_scene(s, cb, mode="residue", config=cfg)
         assert dec_std.total_codebook_vectors == 220
@@ -146,7 +146,7 @@ class TestFactorization:
                 i = int(rng.integers(6))
                 dx, dy = int(rng.integers(105)), int(rng.integers(105))
                 s = codec.encode_scene(translate_maps(objects[i], dx, dy))
-                cfg = ResonatorConfig(max_iters=30, max_restarts=9, verify=True, seed=1000 + t)
+                cfg = ResonatorConfig(max_iters=30, max_restarts=9, seed=1000 + t)
                 dec = codec.factorize_scene(s, cb, mode=mode, config=cfg)
                 hits += (dec.object_id, dec.x, dec.y) == (i, dx, dy)
             assert hits >= 7
@@ -185,7 +185,7 @@ class TestExperiment:
             n_objects=5,
             n_features=4,
             seed=8,
-            config=ResonatorConfig(max_iters=20, max_restarts=9, verify=True),
+            config=ResonatorConfig(max_iters=20, max_restarts=9),
         )
         assert set(out["modes"]) == {"residue", "standard"}
         res = out["modes"]["residue"]
