@@ -42,6 +42,7 @@ from .kernels import analytic_kernel, empirical_kernel, product_kernel, sinc_com
 from .resonator import (
     CapacityResult,
     Codebook,
+    ModularCodebook,
     ResonatorConfig,
     ResonatorState,
     bits_per_vector,

@@ -149,6 +149,7 @@ def _dump_jsonl(path: Path, records) -> None:
 def _write_manifest(outdir: Path, command: str, config: dict) -> None:
     ready = _json_ready(config)
     blob = json.dumps(ready, sort_keys=True)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
         "config": ready,
@@ -160,6 +161,7 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
         },
     }
     with open(outdir / "manifest.json", "w", encoding="ascii") as fh:

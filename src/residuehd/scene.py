@@ -31,7 +31,13 @@ import numpy as np
 
 from .phasor import phase_normalize
 from .residue import ResidueSystem, _child_seeds, crt_reconstruct
-from .resonator import Codebook, ResonatorConfig, build_residue_codebooks, resonator_factorize
+from .resonator import (
+    Codebook,
+    ModularCodebook,
+    ResonatorConfig,
+    build_residue_codebooks,
+    resonator_factorize,
+)
 
 __all__ = [
     "FeatureMaps",
@@ -153,8 +159,8 @@ class SceneCodec:
     """Binds feature maps into scene vectors and factorizes them back.
 
     Holds the horizontal/vertical residue systems, the random feature
-    identity vectors, and cached position encodings together with the
-    position codebooks of both factor layouts built from them.
+    identity vectors, and the position codebooks of both factor layouts;
+    position encodings are rows of the standard layout's codebooks.
     """
 
     def __init__(self, hsys: ResidueSystem, vsys: ResidueSystem, n_features: int, seed: int):
@@ -167,22 +173,21 @@ class SceneCodec:
         self.seed = int(seed)
         rng = np.random.default_rng(seed)
         self.feature_vectors = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_features, self.dim)))
-        self._h_values = None
-        self._v_values = None
         self._layouts = None
 
-    def _positions(self):
-        if self._h_values is None:
-            self._h_values = np.stack([self.hsys.encode(x).values for x in range(self.hsys.range_M)])
-            self._v_values = np.stack([self.vsys.encode(y).values for y in range(self.vsys.range_M)])
+    def _positions(self) -> dict[str, list[Codebook]]:
+        """Position codebooks per layout, built on first use.
+
+        A standard-layout codebook holds the encodings 0 .. M-1 of one
+        axis: encode(x) has phase indices (w * x) mod M with w the indices
+        of encode(1), which is the modular codebook of modulus M and base w.
+        """
+        if self._layouts is None:
             self._layouts = {
-                "standard": [
-                    Codebook(self._h_values, range(self.hsys.range_M)),
-                    Codebook(self._v_values, range(self.vsys.range_M)),
-                ],
+                "standard": [ModularCodebook(s.range_M, s.encode(1).indices) for s in (self.hsys, self.vsys)],
                 "residue": build_residue_codebooks(self.hsys) + build_residue_codebooks(self.vsys),
             }
-        return self._h_values, self._v_values
+        return self._layouts
 
     def encode_scene(self, maps: FeatureMaps) -> SceneVector:
         """s = sum of h(x) (.) v(y) (.) d_j weighted by each coefficient."""
@@ -191,14 +196,14 @@ class SceneCodec:
             raise ValueError(
                 f"grid {W}x{H} exceeds encodable range {self.hsys.range_M}x{self.vsys.range_M}"
             )
-        h_vals, v_vals = self._positions()
+        h_book, v_book = self._positions()["standard"]
         s = np.zeros(self.dim, dtype=np.complex128)
         for j, coeffs in sorted(maps.channels.items()):
             if not 0 <= j < self.n_features:
                 raise ValueError(f"feature id {j} outside [0, {self.n_features})")
             d_j = self.feature_vectors[j]
             for x, y, val in coeffs:
-                s += h_vals[x] * v_vals[y] * d_j * val
+                s += h_book.row(x) * v_book.row(y) * d_j * val
         return SceneVector(values=s)
 
     def build_object_codebook(self, objects: Sequence[FeatureMaps], labels=None) -> Codebook:
@@ -217,8 +222,7 @@ class SceneCodec:
         """Recover (object, x, y) with a standard or residue factor layout."""
         if mode not in ("standard", "residue"):
             raise ValueError(f"unknown mode {mode!r}")
-        self._positions()  # builds the layouts on first use
-        books = [_normalized_codebook(object_codebook, self.dim)] + self._layouts[mode]
+        books = [_normalized_codebook(object_codebook, self.dim)] + self._positions()[mode]
         total_vectors = sum(cb.n_entries for cb in books)
         config = config or ResonatorConfig(max_iters=15, max_restarts=9)
         z = phase_normalize(s.values)

@@ -101,7 +101,12 @@ def make_subsetsum_system(m: int, D: int, seed: int) -> ResidueSystem:
 
 
 def save_instance(instance: SubsetSumInstance, path) -> None:
-    doc = {"items": list(instance.items), "target": instance.target, "seed": instance.seed}
+    doc = {
+        "items": list(instance.items),
+        "target": instance.target,
+        "ground_truth": None if instance.ground_truth is None else list(instance.ground_truth),
+        "seed": instance.seed,
+    }
     with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh)
 
@@ -112,6 +117,7 @@ def load_instance(path) -> SubsetSumInstance:
     return SubsetSumInstance(
         items=tuple(doc["items"]),
         target=int(doc["target"]),
+        ground_truth=doc.get("ground_truth"),
         seed=None if doc.get("seed") is None else int(doc["seed"]),
     )
 

@@ -28,11 +28,13 @@ class TestKernelCommand:
         assert manifest["config"]["m"] == 5
         assert manifest["config"]["D"] == 4000
         assert manifest["seed"] == 3
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert manifest["versions"] == {
             "residuehd": residuehd.__version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),
+            "blas": {"name": blas["name"], "version": blas["version"]},
         }
 
     def test_reruns_byte_identical(self, tmp_path):

@@ -1,9 +1,12 @@
 """Base sampling, integer/rational encoding, similarity, binding, noise."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies
+from hypothesis.extra.numpy import arrays
 from scipy import special
 
 from residuehd.phasor import (
@@ -238,6 +241,15 @@ class TestSerialization:
         assert loaded.dim == base.dim
         assert loaded.seed == base.seed
         assert loaded.nonzero_only == base.nonzero_only
+        assert np.array_equal(loaded.phase_indices, base.phase_indices)
+
+    @given(data=strategies.data(), m=strategies.integers(2, 10**6), D=strategies.integers(1, 64),
+           seed=strategies.integers(0, 2**63 - 1), nonzero_only=strategies.booleans())
+    def test_dict_round_trip(self, data, m, D, seed, nonzero_only):
+        indices = data.draw(arrays(np.int64, D, elements=strategies.integers(int(nonzero_only), m - 1)))
+        base = ModulusBase(modulus=m, dim=D, phase_indices=indices, seed=seed, nonzero_only=nonzero_only)
+        loaded = base_from_dict(json.loads(json.dumps(base_to_dict(base))))
+        assert (loaded.modulus, loaded.dim, loaded.seed, loaded.nonzero_only) == (m, D, seed, nonzero_only)
         assert np.array_equal(loaded.phase_indices, base.phase_indices)
 
     def test_format_checks(self):

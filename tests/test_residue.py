@@ -1,5 +1,6 @@
 """Residue composition, carry-free arithmetic, CRT, Landau's function."""
 
+import json
 import math
 
 import numpy as np
@@ -358,6 +359,16 @@ class TestSerialization:
         restored = system_from_dict(system_to_dict(sys))
         assert restored.moduli == sys.moduli
         for a, b in zip(restored.bases, sys.bases):
+            assert np.array_equal(a.phase_indices, b.phase_indices)
+
+    @given(moduli=coprime_moduli(), D=strategies.integers(1, 32), seed=strategies.integers(0, 2**32),
+           nonzero_only=strategies.booleans())
+    def test_dict_round_trip(self, moduli, D, seed, nonzero_only):
+        sys = make_residue_system(moduli, D, seed, nonzero_only=nonzero_only)
+        restored = system_from_dict(json.loads(json.dumps(system_to_dict(sys))))
+        assert (restored.moduli, restored.dim, restored.nonzero_only) == (sys.moduli, D, nonzero_only)
+        for a, b in zip(restored.bases, sys.bases, strict=True):
+            assert (a.modulus, a.seed, a.nonzero_only) == (b.modulus, b.seed, b.nonzero_only)
             assert np.array_equal(a.phase_indices, b.phase_indices)
 
     def test_bad_format(self):

@@ -1,5 +1,7 @@
 """Factorization dynamics, decoding, cost accounting, capacity machinery."""
 
+import math
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -8,12 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies
 from hypothesis.extra.numpy import arrays
 
-from residuehd.phasor import NoiseModel, add_phase_noise, encode_integer, similarity
+from residuehd.phasor import NoiseModel, add_phase_noise, encode_integer, sample_base, similarity
 from residuehd.residue import make_residue_system
 from residuehd.resonator import (
+    DFT_MIN_SIZE,
     VERIFY_THRESHOLD,
     CapacityResult,
     Codebook,
+    ModularCodebook,
     ResonatorConfig,
     ResonatorState,
     bits_per_vector,
@@ -66,6 +70,48 @@ class TestCodebooks:
             x = data.draw(arrays(np.complex128, D, elements=entry))
         cb = Codebook(matrix, range(m))
         assert np.array_equal(cb.project(x), cb.matrix.conj() @ x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=strategies.data(), dft=strategies.booleans(), real_x=strategies.booleans(),
+           seed=strategies.integers(0, 2**16))
+    def test_modular_codebook_equals_dense(self, data, dft, real_x, seed):
+        if dft:
+            D = data.draw(strategies.integers(256, 2048))
+            m = data.draw(strategies.integers(math.ceil(DFT_MIN_SIZE / D), 400))
+        else:
+            m = data.draw(strategies.integers(2, 100))
+            D = data.draw(strategies.integers(1, min(2048, (DFT_MIN_SIZE - 1) // m)))
+        base = sample_base(m, D, seed)
+        cb = ModularCodebook(m, base.phase_indices)
+        assert (cb.n_entries, cb.dim, cb.labels) == (m, D, tuple(range(m)))
+        dense = np.stack([encode_integer(base, r).values for r in range(m)])
+        for r in range(m):
+            assert np.array_equal(cb.row(r), dense[r])
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=D) if real_x else rng.normal(size=D) + 1j * rng.normal(size=D)
+        c = rng.normal(size=m) + 1j * rng.normal(size=m)
+
+        def rel_err(got, want):
+            return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+        assert rel_err(cb.project(x), dense.conj() @ x) <= 1e-12
+        assert rel_err(cb.cleanup(c), c @ dense) <= 1e-12
+
+    def test_large_modular_decode_keeps_no_dense_rows(self):
+        # at (499, 503), D=8192 the dense codebooks would take 2 x 64 MB
+        sys = make_residue_system([499, 503], 8192, seed=4)
+        x = 123457
+        v = sys.encode(x).to_dense()
+        tracemalloc.start()
+        try:
+            books = build_residue_codebooks(sys)
+            got, st = decode_residue_number(sys, v, ResonatorConfig(max_iters=30, max_restarts=3, seed=0),
+                                            codebooks=books)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert st.converged and got == x
+        assert peak < 16 * 2**20
 
 
 class TestCodebookDecode:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies
 
 from residuehd import scene
 from residuehd.residue import make_residue_system
@@ -44,6 +45,17 @@ class TestFeatureMaps:
             loaded = load_feature_maps(path)
             assert loaded.grid == obj.grid
             assert loaded.channels == obj.channels
+
+    @given(data=strategies.data(), H=strategies.integers(1, 40), W=strategies.integers(1, 40))
+    def test_file_round_trip(self, tmp_path_factory, data, H, W):
+        coeff = strategies.tuples(strategies.integers(0, W - 1), strategies.integers(0, H - 1),
+                                  strategies.floats(allow_nan=False, allow_infinity=False))
+        channels = data.draw(strategies.dictionaries(strategies.integers(0, 2**31 - 1),
+                                                     strategies.lists(coeff, max_size=8).map(tuple), max_size=6))
+        maps = FeatureMaps(grid=(H, W), channels=channels)
+        path = tmp_path_factory.mktemp("maps") / "maps.json"
+        save_feature_maps(maps, path)
+        assert load_feature_maps(path) == maps
 
     def test_malformed_file_reports_location(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies
 
 from residuehd.resonator import ResonatorConfig
 from residuehd.subsetsum import (
@@ -186,6 +187,18 @@ class TestInstanceFiles:
         assert loaded.items == inst.items
         assert loaded.target == inst.target
         assert loaded.seed == inst.seed
+
+    @given(data=strategies.data(), items=strategies.lists(strategies.integers(1, 10**12), min_size=1, max_size=16),
+           planted=strategies.booleans(), seed=strategies.none() | strategies.integers(0, 2**63 - 1))
+    def test_file_round_trip(self, tmp_path_factory, data, items, planted, seed):
+        if planted:
+            subset = data.draw(strategies.sets(strategies.integers(0, len(items) - 1)))
+            inst = SubsetSumInstance(tuple(items), sum(items[i] for i in subset), tuple(subset), seed)
+        else:
+            inst = SubsetSumInstance(tuple(items), data.draw(strategies.integers(0, sum(items))), seed=seed)
+        path = tmp_path_factory.mktemp("instance") / "instance.json"
+        save_instance(inst, path)
+        assert load_instance(path) == inst
 
 
 class TestBenchmark:
