@@ -150,14 +150,13 @@ class HexSystem:
         from .resonator import ResonatorConfig, _modular_codebook, resonator_factorize
 
         if self._books is None:
-            self._books = [_modular_codebook(base) for triplet in self.triplets for base in triplet]
+            self._books = [_modular_codebook(b.modulus, b.phase_indices) for t in self.triplets for b in t]
         state = resonator_factorize(v, self._books, config or ResonatorConfig(max_iters=30, max_restarts=5))
         if not state.converged:
             raise RuntimeError("resonator failed to factorize the hexagonal encoding")
-        labels = state.labels
         d1_res, d2_res = [], []
         for k, m in enumerate(self.moduli):
-            a, b, c = labels[3 * k : 3 * k + 3]
+            a, b, c = state.labels[3 * k : 3 * k + 3]
             d1_res.append((a - c) % m)
             d2_res.append((b - c) % m)
         M = self.range_M

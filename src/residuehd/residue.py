@@ -196,28 +196,16 @@ def anti_base(base: ModulusBase) -> AntiBase:
     return AntiBase(modulus=m, inverse_indices=inv_table[base.phase_indices])
 
 
-def f_op(a: PhasorVector, b: PhasorVector, table: np.ndarray | None = None) -> PhasorVector:
+def f_op(a: PhasorVector, b: PhasorVector) -> PhasorVector:
     """Discrete phase multiplication: indices r, s map to (r * s) mod m.
 
-    Both inputs must be exact with the same period. When `table` is given
-    (an m x m product lookup from :func:`f_op_table`) indices are mapped
-    through it instead of multiplied; both paths agree bit-exactly.
+    Both inputs must be exact with the same period.
     """
     if not (a.is_exact and b.is_exact):
         raise ValueError("f_op is defined on exact-form vectors only")
     if a.period != b.period:
         raise ValueError(f"period mismatch: {a.period} vs {b.period}")
-    if table is not None:
-        idx = table[a.indices, b.indices]
-    else:
-        idx = (a.indices * b.indices) % a.period
-    return PhasorVector.exact(idx, a.period)
-
-
-def f_op_table(m: int) -> np.ndarray:
-    """Precomputed m x m index-product table for :func:`f_op`."""
-    r = np.arange(m, dtype=np.int64)
-    return (r[:, None] * r[None, :]) % m
+    return PhasorVector.exact((a.indices * b.indices) % a.period, a.period)
 
 
 def multiply(sys: ResidueSystem, a, b, config=None) -> PhasorVector:

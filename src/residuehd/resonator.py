@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasor import ModulusBase, NoiseModel, PhasorVector, add_phase_noise, phase_normalize
+from .phasor import NoiseModel, PhasorVector, add_phase_noise, phase_normalize
 from .residue import ResidueSystem, _child_seeds, _is_prime, crt_reconstruct, make_residue_system
 
 __all__ = [
@@ -60,38 +60,27 @@ __all__ = [
 
 
 class Codebook:
-    """Reference encodings with known labels, stacked as matrix rows."""
+    """Reference encodings stacked as matrix rows; entry i is row i."""
 
-    __slots__ = ("_matrix", "labels")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix: np.ndarray, labels: Sequence):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim != 2:
             raise ValueError("codebook matrix must be 2-D (entries, dim)")
-        labels = tuple(labels)
-        if len(labels) != matrix.shape[0]:
-            raise ValueError("one label per codebook entry required")
-        if len(set(labels)) != len(labels):
-            raise ValueError("codebook labels must be unique")
-        self._matrix = matrix
-        self.labels = labels
+        self.matrix = matrix  # (entries, dim) complex rows
 
     @classmethod
-    def from_vectors(cls, vectors: Sequence[PhasorVector], labels: Sequence) -> "Codebook":
-        return cls(np.stack([v.values for v in vectors]), labels)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The (entries, dim) complex rows."""
-        return self._matrix
+    def from_vectors(cls, vectors: Sequence[PhasorVector]) -> "Codebook":
+        return cls(np.stack([v.values for v in vectors]))
 
     @property
     def n_entries(self) -> int:
-        return len(self.labels)
+        return self.matrix.shape[0]
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[1]
+        return self.matrix.shape[1]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """conj(Z) @ x: the inner product of every entry with x.
@@ -99,18 +88,73 @@ class Codebook:
         Conjugating the D-vector and the m results instead of the m x D
         matrix gives the same bits with no conjugate copy of the matrix.
         """
-        return (self._matrix @ x.conj()).conj()
+        return (self.matrix @ x.conj()).conj()
 
     def cleanup(self, c: np.ndarray) -> np.ndarray:
         """c @ Z: the entries superposed with weights c."""
-        return c @ self._matrix
+        return c @ self.matrix
 
     def row(self, i: int) -> np.ndarray:
         """Entry i."""
-        return self._matrix[i]
+        return self.matrix[i]
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n_entries}, D={self.dim})"
+
+
+class ModularCodebook:
+    """Entries z(0) .. z(m-1) of one modulus, held as (m, phase indices u).
+
+    Entry r has component j at the m-th root of unity of index
+    (u_j * r) mod m, so with the length-m DFT
+
+        conj(Z) @ x = fft(bincount(u, x, m))    and    c @ Z = m * ifft(c)[u]
+
+    which costs O(D + m log m) time and O(D) memory in place of the
+    O(m * D) of dense rows. It answers the same calls as Codebook.
+    """
+
+    __slots__ = ("modulus", "phase_indices", "_roots")
+
+    def __init__(self, modulus: int, phase_indices):
+        m = int(modulus)
+        if m < 1:
+            raise ValueError(f"modulus must be >= 1, got {m}")
+        self.modulus = m
+        self.phase_indices = np.asarray(phase_indices, dtype=np.int64) % m
+        # rows are looked up in the m roots of unity instead of one complex
+        # exp per component; the lookup gives the same bits as encode_integer
+        self._roots = PhasorVector.exact(np.arange(m), m).values
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense rows, built on each request and not kept."""
+        # written in place: a list of m rows would double the peak memory
+        rows = np.empty((self.modulus, self.dim), dtype=np.complex128)
+        for r in range(self.modulus):
+            rows[r] = self.row(r)
+        return rows
+
+    @property
+    def n_entries(self) -> int:
+        return self.modulus
+
+    @property
+    def dim(self) -> int:
+        return self.phase_indices.shape[0]
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        u, m = self.phase_indices, self.modulus
+        return np.fft.fft(np.bincount(u, x.real, m) + 1j * np.bincount(u, x.imag, m))
+
+    def cleanup(self, c: np.ndarray) -> np.ndarray:
+        return self.modulus * np.fft.ifft(c)[self.phase_indices]
+
+    def row(self, i: int) -> np.ndarray:
+        return self._roots[(self.phase_indices * i) % self.modulus]
+
+    def __repr__(self):
+        return f"ModularCodebook(n={self.n_entries}, D={self.dim})"
 
 
 # m * D at and above which a modular codebook keeps no rows and takes the
@@ -120,70 +164,14 @@ class Codebook:
 DFT_MIN_SIZE = 100_000
 
 
-class ModularCodebook(Codebook):
-    """Entries z(0) .. z(m-1) of one modulus, held as (m, phase indices u).
+def _modular_codebook(modulus: int, phase_indices) -> Codebook | ModularCodebook:
+    """Entries z(0) .. z(m-1) of one modulus with phase indices u.
 
-    Entry r has component j at the m-th root of unity of index
-    (u_j * r) mod m, so with the length-m DFT
-
-        conj(Z) @ x = fft(bincount(u, x, m))    and    c @ Z = m * ifft(c)[u]
-
-    which costs O(D + m log m) in place of O(m * D). Codebooks of size
-    m * D >= DFT_MIN_SIZE take that step and store D integers; smaller
-    ones build their dense rows once and use the matrix products.
+    Dense rows when m * D < DFT_MIN_SIZE, the DFT type otherwise; both
+    give entry r as row r.
     """
-
-    __slots__ = ("modulus", "phase_indices")
-
-    def __init__(self, modulus: int, phase_indices):
-        m = int(modulus)
-        if m < 1:
-            raise ValueError(f"modulus must be >= 1, got {m}")
-        self.modulus = m
-        self.phase_indices = np.asarray(phase_indices, dtype=np.int64) % m
-        self.labels = tuple(range(m))
-        self._matrix = self._rows() if m * self.dim < DFT_MIN_SIZE else None
-
-    def _roots(self) -> np.ndarray:
-        # entry r is the m-th root of unity at index (u_j * r) mod m, looked
-        # up instead of one complex exp per component; the lookup gives the
-        # same bits as encode_integer
-        return PhasorVector.exact(np.arange(self.modulus), self.modulus).values
-
-    def _rows(self) -> np.ndarray:
-        m = self.modulus
-        roots = self._roots()
-        # rows are written in place: a list of m encodings would double the
-        # peak memory of a large codebook
-        rows = np.empty((m, self.dim), dtype=np.complex128)
-        for r in range(m):
-            rows[r] = roots[(self.phase_indices * r) % m]
-        return rows
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense rows; above DFT_MIN_SIZE built on each request, not kept."""
-        return self._rows() if self._matrix is None else self._matrix
-
-    @property
-    def dim(self) -> int:
-        return self.phase_indices.shape[0]
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        if self._matrix is not None:
-            return super().project(x)
-        u, m = self.phase_indices, self.modulus
-        return np.fft.fft(np.bincount(u, x.real, m) + 1j * np.bincount(u, x.imag, m))
-
-    def cleanup(self, c: np.ndarray) -> np.ndarray:
-        if self._matrix is not None:
-            return super().cleanup(c)
-        return self.modulus * np.fft.ifft(c)[self.phase_indices]
-
-    def row(self, i: int) -> np.ndarray:
-        if self._matrix is not None:
-            return super().row(i)
-        return self._roots()[(self.phase_indices * i) % self.modulus]
+    book = ModularCodebook(modulus, phase_indices)
+    return Codebook(book.matrix) if book.n_entries * book.dim < DFT_MIN_SIZE else book
 
 
 # successive-state similarity at which an attempt's sweeps stop
@@ -225,11 +213,12 @@ class ResonatorConfig:
 class ResonatorState:
     """Per-factor estimates plus convergence and cost bookkeeping.
 
-    converged is True when an attempt's decoded labels reproduce the
-    input, so they are the answer for any input that is a clean product
-    of codebook entries. claim_cosine is that check's score for the
-    returned attempt: the cosine between the input and the product of
-    its decoded entries.
+    labels holds the decoded entry of each factor as its codebook row
+    index. converged is True when an attempt's decoded labels reproduce
+    the input, so they are the answer for any input that is a clean
+    product of codebook entries. claim_cosine is that check's score for
+    the returned attempt: the cosine between the input and the product
+    of its decoded entries.
     """
 
     estimates: np.ndarray  # (K, D) complex, unit magnitude
@@ -237,40 +226,37 @@ class ResonatorState:
     converged: bool = False
     codebook_evaluations: int = 0
     restarts_used: int = 0
-    final_similarity: float = 0.0  # last successive-state similarity
     claim_cosine: float = 0.0
-    labels: tuple | None = None  # decoded label per factor
-    label_idx: np.ndarray | None = None  # argmax row per factor
+    labels: np.ndarray = field(init=False)  # (K,) decoded row per factor
+
+    def __post_init__(self):
+        self.labels = np.zeros(self.estimates.shape[0], dtype=np.int64)
 
     @property
     def n_factors(self) -> int:
         return self.estimates.shape[0]
 
 
-def _modular_codebook(base: ModulusBase) -> ModularCodebook:
-    """Entries z_m(0) .. z_m(m-1) of one base, labels 0..m-1."""
-    return ModularCodebook(base.modulus, base.phase_indices)
-
-
 def build_residue_codebooks(sys: ResidueSystem) -> list[Codebook]:
-    """One codebook per modulus: entries z_m(0) .. z_m(m-1), labels 0..m-1."""
-    return [_modular_codebook(base) for base in sys.bases]
+    """One codebook per modulus: row r is z_m(r)."""
+    return [_modular_codebook(base.modulus, base.phase_indices) for base in sys.bases]
 
 
-def codebook_decode(v, codebook: Codebook, state: ResonatorState | None = None):
-    """Label of the entry with the largest real inner product with v.
+def codebook_decode(v, codebook: Codebook) -> int:
+    """Row of the entry with the largest real inner product with v.
 
-    Ties go to the lowest label. When a state is passed, its evaluation
-    counter grows by the codebook size.
+    Ties go to the lowest row. Raises ValueError when v or a score is not
+    finite, since argmax would pick row 0 for a NaN.
     """
     vals = v.values if isinstance(v, PhasorVector) else np.asarray(v)
     if vals.shape[0] != codebook.dim:
         raise ValueError(f"dimension mismatch: {vals.shape[0]} vs {codebook.dim}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("input has non-finite components")
     scores = codebook.project(vals).real
-    if state is not None:
-        state.codebook_evaluations += codebook.n_entries
-    best = np.flatnonzero(scores == scores.max())
-    return min(codebook.labels[i] for i in best)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("non-finite scores: the input overflows the inner products")
+    return int(np.argmax(scores))
 
 
 def _unbind_project(v_vals, estimates: np.ndarray, codebook: Codebook, j: int) -> np.ndarray:
@@ -287,12 +273,10 @@ def _step_inplace(v_vals, state: ResonatorState, codebooks, j: int) -> None:
     coeffs = _unbind_project(v_vals, est, codebooks[j], j)
     est[j] = phase_normalize(codebooks[j].cleanup(coeffs)).values
     state.codebook_evaluations += codebooks[j].n_entries
-    if state.label_idx is None:
-        state.label_idx = np.zeros(est.shape[0], dtype=np.int64)
     # factor estimates settle only up to a global phase per factor (the
     # rotations cancel in the composed product), so the per-factor label
     # uses the gauge-invariant coefficient magnitude
-    state.label_idx[j] = int(np.argmax(np.abs(coeffs)))
+    state.labels[j] = int(np.argmax(np.abs(coeffs)))
 
 
 def resonator_step(v, state: ResonatorState, codebooks: Sequence[Codebook], j: int) -> ResonatorState:
@@ -320,9 +304,9 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a, b)) / (na * nb))
 
 
-def _claim_cosine(v_vals: np.ndarray, codebooks, label_idx) -> float:
+def _claim_cosine(v_vals: np.ndarray, codebooks, labels) -> float:
     """Cosine between the input and the product of the decoded entries."""
-    return _cosine(np.prod([cb.row(i) for cb, i in zip(codebooks, label_idx)], axis=0), v_vals)
+    return _cosine(np.prod([cb.row(i) for cb, i in zip(codebooks, labels)], axis=0), v_vals)
 
 
 def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfig | None = None) -> ResonatorState:
@@ -348,13 +332,11 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
     if not np.all(np.isfinite(v_vals)):
         raise ValueError("input has non-finite components")
 
-    seed_root = np.random.SeedSequence(config.seed)
     state = ResonatorState(estimates=np.empty((K, D), dtype=np.complex128))
-    best = None  # (claim cosine, estimates, label_idx)
+    best = None  # (claim cosine, estimates, labels)
 
     for attempt in range(1 + config.max_restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(attempt,))
-                                    if config.seed is not None else seed_root.spawn(1)[0])
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(attempt,)))
         state.estimates = _random_init(codebooks, rng)
         state.restarts_used = attempt
         for _ in range(config.max_iters):
@@ -363,19 +345,16 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
                 _step_inplace(v_vals, state, codebooks, j)
             state.iteration += 1
             sim = float(np.real(np.vdot(prev.ravel(), state.estimates.ravel())) / (K * D))
-            state.final_similarity = sim
             if sim >= ALPHA:
                 break
-        state.claim_cosine = _claim_cosine(v_vals, codebooks, state.label_idx)
+        state.claim_cosine = _claim_cosine(v_vals, codebooks, state.labels)
         if state.claim_cosine >= VERIFY_THRESHOLD:
             state.converged = True
             break
         if best is None or state.claim_cosine > best[0]:
-            best = (state.claim_cosine, state.estimates.copy(), state.label_idx.copy())
+            best = (state.claim_cosine, state.estimates.copy(), state.labels.copy())
     else:
-        state.claim_cosine, state.estimates, state.label_idx = best
-
-    state.labels = tuple(codebooks[j].labels[int(state.label_idx[j])] for j in range(K))
+        state.claim_cosine, state.estimates, state.labels = best
     return state
 
 

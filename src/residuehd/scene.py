@@ -33,8 +33,8 @@ from .phasor import phase_normalize
 from .residue import ResidueSystem, _child_seeds, crt_reconstruct
 from .resonator import (
     Codebook,
-    ModularCodebook,
     ResonatorConfig,
+    _modular_codebook,
     build_residue_codebooks,
     resonator_factorize,
 )
@@ -184,7 +184,7 @@ class SceneCodec:
         """
         if self._layouts is None:
             self._layouts = {
-                "standard": [ModularCodebook(s.range_M, s.encode(1).indices) for s in (self.hsys, self.vsys)],
+                "standard": [_modular_codebook(s.range_M, s.encode(1).indices) for s in (self.hsys, self.vsys)],
                 "residue": build_residue_codebooks(self.hsys) + build_residue_codebooks(self.vsys),
             }
         return self._layouts
@@ -206,11 +206,16 @@ class SceneCodec:
                 s += h_book.row(x) * v_book.row(y) * d_j * val
         return SceneVector(values=s)
 
-    def build_object_codebook(self, objects: Sequence[FeatureMaps], labels=None) -> Codebook:
-        """One canonical-frame scene vector per object (raw superpositions)."""
-        labels = list(range(len(objects))) if labels is None else list(labels)
+    def build_object_codebook(self, objects: Sequence[FeatureMaps]) -> Codebook:
+        """One canonical-frame scene vector per object, scaled to norm sqrt(D).
+
+        sqrt(D) is the norm of a unit phasor vector, so the object factor
+        weighs like the position factors; zero rows stay zero.
+        """
         entries = np.stack([self.encode_scene(obj).values for obj in objects])
-        return Codebook(entries, labels)
+        norms = np.linalg.norm(entries, axis=1, keepdims=True)
+        scale = np.where(norms > 0.0, math.sqrt(self.dim) / np.where(norms > 0.0, norms, 1.0), 1.0)
+        return Codebook(entries * scale)
 
     def factorize_scene(
         self,
@@ -219,10 +224,13 @@ class SceneCodec:
         mode: str = "residue",
         config: ResonatorConfig | None = None,
     ) -> SceneDecode:
-        """Recover (object, x, y) with a standard or residue factor layout."""
+        """Recover (object, x, y) with a standard or residue factor layout.
+
+        object_codebook is the one build_object_codebook returns.
+        """
         if mode not in ("standard", "residue"):
             raise ValueError(f"unknown mode {mode!r}")
-        books = [_normalized_codebook(object_codebook, self.dim)] + self._positions()[mode]
+        books = [object_codebook] + self._positions()[mode]
         total_vectors = sum(cb.n_entries for cb in books)
         config = config or ResonatorConfig(max_iters=15, max_restarts=9)
         z = phase_normalize(s.values)
@@ -235,7 +243,7 @@ class SceneCodec:
             x = crt_reconstruct(state.labels[1 : 1 + kh], self.hsys.moduli)
             y = crt_reconstruct(state.labels[1 + kh :], self.vsys.moduli)
         return SceneDecode(
-            object_id=obj,
+            object_id=int(obj),
             x=int(x),
             y=int(y),
             converged=state.converged,
@@ -243,13 +251,6 @@ class SceneCodec:
             restarts_used=state.restarts_used,
             total_codebook_vectors=total_vectors,
         )
-
-
-def _normalized_codebook(cb: Codebook, dim: int) -> Codebook:
-    """Scale rows to the sqrt(D) norm of unit phasor entries (zero rows kept)."""
-    norms = np.linalg.norm(cb.matrix, axis=1, keepdims=True)
-    scale = np.where(norms > 0.0, math.sqrt(dim) / np.where(norms > 0.0, norms, 1.0), 1.0)
-    return Codebook(cb.matrix * scale, cb.labels)
 
 
 def make_synthetic_objects(

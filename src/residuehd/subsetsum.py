@@ -145,12 +145,9 @@ def generate_instance(n: int, sys: ResidueSystem, seed: int) -> SubsetSumInstanc
 
 
 def build_factors(S: Sequence[int], sys: ResidueSystem) -> list[Codebook]:
-    """One two-entry codebook per item: label 0 -> z(0), label 1 -> z(S_k)."""
+    """One two-entry codebook per item: row 0 is z(0), row 1 is z(S_k)."""
     zero = sys.encode(0)
-    books = []
-    for s in S:
-        books.append(Codebook.from_vectors([zero, sys.encode(int(s))], [0, 1]))
-    return books
+    return [Codebook.from_vectors([zero, sys.encode(int(s))]) for s in S]
 
 
 def solve(
@@ -171,7 +168,7 @@ def solve(
     config = config or ResonatorConfig(max_iters=30, max_restarts=19)
     books = build_factors(instance.items, sys)
     state = resonator_factorize(sys.encode(instance.target), books, config)
-    subset = tuple(int(i) for i in np.flatnonzero(np.asarray(state.labels)))
+    subset = tuple(int(i) for i in np.flatnonzero(state.labels))
     success = state.converged and sum(instance.items[i] for i in subset) == instance.target
     return SubsetSumResult(
         success=success,

@@ -208,7 +208,7 @@ class TestHexEncoding:
 
         builder = resonator._modular_codebook
         built = []
-        monkeypatch.setattr(resonator, "_modular_codebook", lambda base: built.append(base) or builder(base))
+        monkeypatch.setattr(resonator, "_modular_codebook", lambda m, u: built.append(m) or builder(m, u))
         hs = HexSystem((3, 5), 1024, seed=17)
         for t, y in enumerate([(1, 2, 0), (4, 0, 3)]):
             hs.decode(hs.encode(y), ResonatorConfig(max_iters=30, max_restarts=5, seed=t))

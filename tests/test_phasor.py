@@ -168,7 +168,7 @@ class TestHadamard:
         from residuehd.resonator import Codebook, codebook_decode
 
         sys = make_residue_system([3, 5, 7], 256, seed=12)
-        full = Codebook.from_vectors([sys.encode(x) for x in range(105)], list(range(105)))
+        full = Codebook.from_vectors([sys.encode(x) for x in range(105)], )
         bound = hadamard(sys.encode(2), sys.encode(3))
         assert codebook_decode(bound, full) == 5
 

@@ -13,7 +13,6 @@ from residuehd.residue import (
     anti_base,
     crt_reconstruct,
     f_op,
-    f_op_table,
     landau_g,
     make_residue_system,
     multiply,
@@ -181,13 +180,6 @@ class TestFOp:
                 expected = (base.phase_indices * (x1 * x2)) % m
                 assert np.array_equal(out.indices, expected)
 
-    def test_table_path_agrees(self, prime_sys):
-        base = prime_sys.bases[2]
-        table = f_op_table(base.modulus)
-        a = encode_integer(base, 4)
-        b = encode_integer(base, 6)
-        assert f_op(a, b, table=table) == f_op(a, b)
-
     def test_period_mismatch(self):
         import residuehd.phasor as ph
 
@@ -199,7 +191,7 @@ class TestMultiply:
     def test_figure_values(self, prime_sys):
         from residuehd.resonator import Codebook, codebook_decode
 
-        full = Codebook.from_vectors([prime_sys.encode(x) for x in range(105)], list(range(105)))
+        full = Codebook.from_vectors([prime_sys.encode(x) for x in range(105)])
         prod = multiply(prime_sys, prime_sys.encode_factors(2), prime_sys.encode_factors(3))
         assert codebook_decode(prod, full) == 6
 

@@ -118,11 +118,14 @@ class TestSceneEncoding:
 class TestObjectCodebook:
     def test_origin_object_equals_entry(self):
         codec = small_codec()
-        objects = make_synthetic_objects(3, 4, (105, 105), seed=2)
+        # an empty object keeps a zero row; the others scale to norm sqrt(D)
+        objects = make_synthetic_objects(3, 4, (105, 105), seed=2) + [FeatureMaps(grid=(105, 105), channels={})]
         cb = codec.build_object_codebook(objects)
-        assert cb.n_entries == 3
-        for i, obj in enumerate(objects):
-            assert np.allclose(cb.matrix[i], codec.encode_scene(obj).values, atol=1e-12)
+        assert cb.n_entries == 4
+        assert not np.any(cb.matrix[3])
+        for i, obj in enumerate(objects[:3]):
+            raw = codec.encode_scene(obj).values
+            assert np.allclose(cb.matrix[i], raw * math.sqrt(codec.dim) / np.linalg.norm(raw), atol=1e-12)
 
     def test_ten_objects_decorrelated(self):
         codec = small_codec(D=10_000, seed=71, n_features=8)

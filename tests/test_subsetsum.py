@@ -83,7 +83,7 @@ class TestFactors:
         assert len(books) == 6
         assert sum(cb.n_entries for cb in books) == 12
         for cb, s in zip(books, S):
-            assert cb.labels == (0, 1)
+            assert cb.n_entries == 2
             assert np.allclose(cb.matrix[0], sys200.encode(0).values)
             assert np.allclose(cb.matrix[1], sys200.encode(s).values)
 
