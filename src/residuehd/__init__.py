@@ -26,7 +26,6 @@ from .phasor import (
     similarity,
 )
 from .residue import (
-    AntiBase,
     ResidueSystem,
     add,
     anti_base,

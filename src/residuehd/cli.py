@@ -404,48 +404,28 @@ _COMMANDS = {
 }
 
 
+# flag types for the defaults that are None
+_NONE_DEFAULT_TYPES = {"stop_threshold": float, "max_M": int}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per DEFAULTS entry, one flag per config key.
+
+    A key's flag is "--" + key with dashes for underscores; its type is
+    that of its default, and a list default takes a comma list of ints.
+    """
     p = argparse.ArgumentParser(prog="residuehd", description="Residue phasor-code experiments")
     sub = p.add_subparsers(dest="command", required=True)
-    int_list = _parse_int_list
-
-    specs = {
-        "kernel": [("--m", int), ("--D", int), ("--lo", float), ("--hi", float), ("--step", float)],
-        "capacity": [
-            ("--D", int), ("--K", int), ("--kappa", float), ("--trials", int),
-            ("--threshold", float), ("--stop-threshold", float), ("--growth", float),
-            ("--max-M", int), ("--max-iters", int),
-        ],
-        "noise": [
-            ("--D", int), ("--moduli", int_list), ("--kappa", float), ("--trials", int),
-            ("--max-iters", int),
-        ],
-        "hex": [("--moduli", int_list), ("--D", int), ("--extent", float), ("--step", float), ("--max-m", int)],
-        "subint": [
-            ("--D", int), ("--moduli", int_list), ("--kappa", float), ("--r", int),
-            ("--trials", int), ("--max-iters", int),
-        ],
-        "subset-sum": [
-            ("--sizes", int_list), ("--D-values", int_list), ("--m", int),
-            ("--trials", int), ("--restarts", int), ("--max-iters", int),
-        ],
-        "scene": [
-            ("--scenes", int), ("--D", int), ("--objects", int), ("--features", int),
-            ("--grid", int_list), ("--moduli", int_list), ("--restarts", int),
-        ],
-        "baselines": [
-            ("--thermo-D", int), ("--float-D", int), ("--float-w", int),
-            ("--scatter-D", int), ("--scatter-p", float), ("--scatter-levels", int),
-            ("--scatter-seeds", int),
-        ],
-    }
-    for name, flags in specs.items():
+    for name, defaults in DEFAULTS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None, help="JSON config file")
         sp.add_argument("--out", type=str, default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=None)
-        for flag, typ in flags:
-            sp.add_argument(flag, type=typ, default=None)
+        for key, default in defaults.items():
+            if isinstance(default, list):
+                typ = _parse_int_list
+            else:
+                typ = _NONE_DEFAULT_TYPES[key] if default is None else type(default)
+            sp.add_argument("--" + key.replace("_", "-"), type=typ, default=None)
     return p
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .phasor import ModulusBase, PhasorVector, hadamard, sample_base, similarity
-from .residue import ResidueSystem, _check_pairwise_coprime, _child_seeds
+from .residue import ResidueSystem, _child_seeds
 
 __all__ = [
     "PSI",
@@ -98,38 +98,40 @@ def round_to_hex_coord(y) -> np.ndarray:
 
 
 class HexSystem:
-    """Hexagonal residue code: one constrained base triplet per modulus."""
+    """Hexagonal residue code: one constrained base triplet per modulus.
 
-    __slots__ = ("moduli", "dim", "seed", "triplets", "_books")
+    Direction d is a ResidueSystem over the moduli holding base d of every
+    triplet, so a 3-coordinate encodes as the Cartesian product of the
+    three directions.
+    """
+
+    __slots__ = ("moduli", "dim", "seed", "directions", "_books")
 
     def __init__(self, moduli, D: int, seed: int):
         if isinstance(moduli, int):
             moduli = (moduli,)
         moduli = tuple(int(m) for m in moduli)
-        _check_pairwise_coprime(moduli)
+        triplets = [sample_hex_base(m, D, _child_seeds(seed, (k,))[0]) for k, m in enumerate(moduli)]
+        self.directions = tuple(ResidueSystem(moduli, bases) for bases in zip(*triplets))
         self.moduli = moduli
         self.dim = D
         self.seed = int(seed)
-        self.triplets = tuple(sample_hex_base(m, D, _child_seeds(seed, (k,))[0]) for k, m in enumerate(moduli))
         self._books = None  # the 3K direction codebooks, built on the first decode
 
     @property
     def range_M(self) -> int:
-        return math.prod(self.moduli)
+        return self.directions[0].range_M
+
+    def _triplets(self):
+        """The base triplet of each modulus, in modulus order."""
+        return zip(*(d.bases for d in self.directions))
 
     def encode(self, y3: Sequence[int]) -> PhasorVector:
-        """Exact encoding of an integer 3-coordinate; invariant under +(1,1,1)."""
-        y1, y2, y3_ = (int(c) for c in y3)
-        out = None
-        for m, (b1, b2, b3) in zip(self.moduli, self.triplets):
-            idx = (
-                b1.phase_indices * (y1 % m)
-                + b2.phase_indices * (y2 % m)
-                + b3.phase_indices * (y3_ % m)
-            ) % m
-            part = PhasorVector.exact(idx, m)
-            out = part if out is None else hadamard(out, part)
-        return out
+        """Exact encoding of an integer 3-coordinate; invariant under +(1,1,1).
+
+        Raises ValueError when M exceeds the exact period limit.
+        """
+        return encode_cartesian(self.directions, y3)
 
     def encode_point(self, xy) -> PhasorVector:
         """Encode a plane point through projection and nearest-cell rounding."""
@@ -150,7 +152,7 @@ class HexSystem:
         from .resonator import ResonatorConfig, _modular_codebook, resonator_factorize
 
         if self._books is None:
-            self._books = [_modular_codebook(b.modulus, b.phase_indices) for t in self.triplets for b in t]
+            self._books = [_modular_codebook(b.modulus, b.phase_indices) for t in self._triplets() for b in t]
         state = resonator_factorize(v, self._books, config or ResonatorConfig(max_iters=30, max_restarts=5))
         if not state.converged:
             raise RuntimeError("resonator failed to factorize the hexagonal encoding")
@@ -181,7 +183,7 @@ class HexSystem:
 
         y = hex_project(xy)
         phase = np.zeros(self.dim)
-        for m, (b1, b2, b3) in zip(self.moduli, self.triplets):
+        for m, (b1, b2, b3) in zip(self.moduli, self._triplets()):
             w = (
                 centered_indices(b1) * y[0]
                 + centered_indices(b2) * y[1]

@@ -12,7 +12,9 @@ Two concrete vector forms share these semantics:
 
 * exact form: integer phase indices modulo a common period L. All
   integer algebra (binding, conjugation, composition) stays in integer
-  arithmetic and is therefore bit-exact.
+  arithmetic and is therefore bit-exact. Every exact period is at most
+  _MAX_PERIOD = isqrt(2^63 - 1), so the sum or product of two indices
+  never overflows int64; a larger period raises ValueError.
 * dense form: complex float components, used for rational encodings and
   for vectors carrying phase noise.
 
@@ -47,8 +49,9 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-9
-# hadamard sums two indices below the combined period in int64
-_MAX_HADAMARD_PERIOD = 2**62
+# Largest exact period: the sum or product of two indices below it fits in
+# int64, so the index arithmetic of every exact operation is bit-exact.
+_MAX_PERIOD = math.isqrt(2**63 - 1)
 
 
 class PhasorVector:
@@ -69,9 +72,12 @@ class PhasorVector:
 
     @classmethod
     def exact(cls, indices, period: int) -> "PhasorVector":
-        """Vector with component j at phase 2*pi*indices[j]/period."""
-        if period < 1:
-            raise ValueError(f"period must be >= 1, got {period}")
+        """Vector with component j at phase 2*pi*indices[j]/period.
+
+        Raises ValueError unless 1 <= period <= _MAX_PERIOD.
+        """
+        if not 1 <= period <= _MAX_PERIOD:
+            raise ValueError(f"period must lie in [1, {_MAX_PERIOD}], got {period}")
         idx = np.asarray(indices, dtype=np.int64) % period
         return cls(idx, int(period), None)
 
@@ -132,7 +138,10 @@ class PhasorVector:
 
 @dataclass(frozen=True, eq=False)
 class ModulusBase:
-    """Random base vector for one modulus: D phase indices u_j in Z_m."""
+    """Random base vector for one modulus: D phase indices u_j in Z_m.
+
+    The modulus is an exact period, so it may not exceed _MAX_PERIOD.
+    """
 
     modulus: int
     dim: int
@@ -141,6 +150,8 @@ class ModulusBase:
     nonzero_only: bool = False
 
     def __post_init__(self):
+        if self.modulus > _MAX_PERIOD:
+            raise ValueError(f"modulus {self.modulus} exceeds the exact period limit {_MAX_PERIOD}")
         idx = np.asarray(self.phase_indices, dtype=np.int64)
         if np.any(idx < 0) or np.any(idx >= self.modulus):
             raise ValueError("phase indices must lie in [0, modulus)")
@@ -231,15 +242,14 @@ def similarity(a: PhasorVector, b: PhasorVector) -> float:
 def hadamard(a: PhasorVector, b: PhasorVector) -> PhasorVector:
     """Componentwise product. Exact x exact stays exact with period lcm(L1, L2).
 
-    Raises ValueError when lcm(L1, L2) exceeds 2^62, beyond which the
-    int64 index sum could overflow.
+    Raises ValueError when lcm(L1, L2) exceeds _MAX_PERIOD.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.is_exact and b.is_exact:
         L = math.lcm(a.period, b.period)
-        if L > _MAX_HADAMARD_PERIOD:
-            raise ValueError(f"combined period {L} exceeds exact index arithmetic limit")
+        if L > _MAX_PERIOD:
+            raise ValueError(f"combined period {L} exceeds the exact period limit {_MAX_PERIOD}")
         idx = (a.indices * (L // a.period) + b.indices * (L // b.period)) % L
         return PhasorVector.exact(idx, L)
     return PhasorVector.dense(a.values * b.values, validate=False)

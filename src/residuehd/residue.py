@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +39,6 @@ from .phasor import (
 
 __all__ = [
     "ResidueSystem",
-    "AntiBase",
     "make_residue_system",
     "add",
     "subtract",
@@ -55,9 +53,6 @@ __all__ = [
     "save_system",
     "load_system",
 ]
-
-# index arithmetic is done in int64; bindings are safe while period^2 < 2^63
-_MAX_EXACT_PERIOD = math.isqrt(2**63 - 1)
 
 
 def _check_pairwise_coprime(moduli: Sequence[int]) -> None:
@@ -124,9 +119,10 @@ class ResidueSystem:
         return [encode_integer(b, x) for b in self.bases]
 
     def encode(self, x: int) -> PhasorVector:
-        """Composed exact encoding with period M = prod(moduli)."""
-        if self.range_M > _MAX_EXACT_PERIOD:
-            raise ValueError(f"range M={self.range_M} exceeds exact index arithmetic limit")
+        """Composed exact encoding with period M = prod(moduli).
+
+        Raises ValueError when M exceeds the exact period limit.
+        """
         out = None
         for f in self.encode_factors(x):
             out = f if out is None else hadamard(out, f)
@@ -172,19 +168,11 @@ def subtract(sys: ResidueSystem, a: PhasorVector, b: PhasorVector) -> PhasorVect
     return hadamard(a, conjugate(b))
 
 
-@dataclass(frozen=True, eq=False)
-class AntiBase:
-    """Componentwise modular multiplicative inverses of a base's indices."""
+def anti_base(base: ModulusBase) -> PhasorVector:
+    """y_m: the exact vector with indices v_j = u_j^(-1) mod m.
 
-    modulus: int
-    inverse_indices: np.ndarray
-
-    def as_vector(self) -> PhasorVector:
-        return PhasorVector.exact(self.inverse_indices, self.modulus)
-
-
-def anti_base(base: ModulusBase) -> AntiBase:
-    """v_j = u_j^(-1) mod m. Requires a prime modulus and nonzero indices."""
+    Requires a prime modulus and nonzero indices.
+    """
     m = base.modulus
     if not _is_prime(m):
         raise ValueError(f"anti-base requires a prime modulus, got {m}")
@@ -193,7 +181,7 @@ def anti_base(base: ModulusBase) -> AntiBase:
     inv_table = np.zeros(m, dtype=np.int64)
     for u in range(1, m):
         inv_table[u] = pow(u, -1, m)
-    return AntiBase(modulus=m, inverse_indices=inv_table[base.phase_indices])
+    return PhasorVector.exact(inv_table[base.phase_indices], m)
 
 
 def f_op(a: PhasorVector, b: PhasorVector) -> PhasorVector:
@@ -238,8 +226,7 @@ def multiply(sys: ResidueSystem, a, b, config=None) -> PhasorVector:
     for base, fa, fb in zip(sys.bases, a, b):
         if fa.period != base.modulus or fb.period != base.modulus:
             raise ValueError("factor period does not match its modulus")
-        y = anti_base(base).as_vector()
-        part = f_op(f_op(fa, fb), y)
+        part = f_op(f_op(fa, fb), anti_base(base))
         out = part if out is None else hadamard(out, part)
     return out
 

@@ -180,6 +180,22 @@ class TestHexEncoding:
         with pytest.raises(ValueError):
             HexSystem((3, 6), 64, seed=15)
 
+    def test_encoding_near_exact_limit_bit_exact(self):
+        # u1 (m-1) + u2 (m-2) + u3 (m-3) would wrap int64 summed in one step
+        m = 2147483659
+        y = (m - 1, m - 2, m - 3)
+        for seed in range(5):
+            hs = HexSystem((m,), 16, seed)
+            # with one modulus, encoding a unit step yields that direction's base
+            u = [hs.encode(e).indices.tolist() for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+            expected = [sum(u[d][j] * y[d] for d in range(3)) % m for j in range(16)]
+            assert hs.encode(y).indices.tolist() == expected
+
+    def test_range_beyond_exact_limit_rejected(self):
+        hs = HexSystem((2, 1518500251), 8, seed=16)
+        with pytest.raises(ValueError, match="exact period limit"):
+            hs.encode((1, 2, 3))
+
     def test_decode_recovers_canonical_class(self):
         from residuehd.resonator import ResonatorConfig
 

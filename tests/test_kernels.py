@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies
 
 from residuehd.kernels import (
     analytic_kernel,
@@ -15,6 +16,9 @@ from residuehd.kernels import (
 )
 from residuehd.phasor import sample_base
 from residuehd.residue import make_residue_system
+
+# odd and even moduli, so both closed-form branches are drawn
+moduli = strategies.integers(2, 64)
 
 
 class TestAnalyticKernel:
@@ -35,23 +39,24 @@ class TestAnalyticKernel:
                 expected = 1.0 if dx % m == 0 else 0.0
                 assert analytic_kernel(m, float(dx)) == expected
 
-    def test_periodicity(self):
-        grid = np.linspace(-4, 4, 81)
-        for m in (5, 6):
-            a = analytic_kernel(m, grid)
-            b = analytic_kernel(m, grid + m)
-            assert np.allclose(a, b, atol=1e-12)
+    @given(m=moduli, dx=strategies.floats(-50.0, 50.0))
+    @example(m=5, dx=np.linspace(-4, 4, 81))
+    @example(m=6, dx=np.linspace(-4, 4, 81))
+    def test_periodicity(self, m, dx):
+        assert np.allclose(analytic_kernel(m, dx), analytic_kernel(m, dx + m), atol=1e-12)
 
-    def test_even_symmetry(self):
-        grid = np.linspace(0, 7, 71)
-        for m in (5, 6):
-            assert np.allclose(analytic_kernel(m, grid), analytic_kernel(m, -grid), atol=1e-12)
+    @given(m=moduli, dx=strategies.floats(-50.0, 50.0))
+    @example(m=5, dx=np.linspace(0, 7, 71))
+    @example(m=6, dx=np.linspace(0, 7, 71))
+    def test_even_symmetry(self, m, dx):
+        assert np.allclose(analytic_kernel(m, dx), analytic_kernel(m, -dx), atol=1e-12)
 
-    def test_both_parity_branches_match_comb(self):
-        grid = np.arange(-6.0, 6.0, 0.13)
-        for m in (5, 6):
-            comb = sinc_comb(m, grid, 10_000)
-            assert np.max(np.abs(analytic_kernel(m, grid) - comb)) < 1e-3
+    @given(m=moduli, dx=strategies.floats(-6.0, 6.0))
+    @example(m=5, dx=np.arange(-6.0, 6.0, 0.13))
+    @example(m=6, dx=np.arange(-6.0, 6.0, 0.13))
+    def test_both_parity_branches_match_comb(self, m, dx):
+        comb = sinc_comb(m, dx, 10_000)
+        assert np.max(np.abs(analytic_kernel(m, dx) - comb)) < 1e-3
 
     def test_large_m_approaches_sinc(self):
         grid = np.arange(-4.0, 4.0, 0.17)

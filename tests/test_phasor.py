@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import special
 
 from residuehd.phasor import (
+    _MAX_PERIOD,
     ModulusBase,
     NoiseModel,
     PhasorVector,
@@ -63,6 +64,14 @@ class TestSampleBase:
             ModulusBase(modulus=5, dim=3, phase_indices=np.array([0, 2, 5]), seed=0)
         with pytest.raises(ValueError):
             ModulusBase(modulus=5, dim=3, phase_indices=np.array([0, 2, 3]), seed=0, nonzero_only=True)
+
+    def test_modulus_beyond_exact_limit_rejected(self):
+        # u * x would wrap int64 in encode_integer at this modulus
+        m = 2**40 + 15
+        with pytest.raises(ValueError, match="exact period limit"):
+            sample_base(m, 4, seed=0)
+        with pytest.raises(ValueError, match="exact period limit"):
+            ModulusBase(modulus=m, dim=1, phase_indices=np.array([m - 2]), seed=0)
 
 
 class TestEncodeInteger:
@@ -271,3 +280,26 @@ class TestDenseFormValidation:
     def test_exact_indices_canonical(self):
         v = PhasorVector.exact(np.array([-1, 7]), 5)
         assert np.array_equal(v.indices, [4, 2])
+
+
+class TestExactPeriodLimit:
+    def test_limit_is_isqrt_of_int64_max(self):
+        assert _MAX_PERIOD == 3037000499
+        assert _MAX_PERIOD**2 <= 2**63 - 1 < (_MAX_PERIOD + 1) ** 2
+
+    def test_boundary(self):
+        top = PhasorVector.exact(np.array([-1, _MAX_PERIOD + 2]), _MAX_PERIOD)
+        assert top.indices.tolist() == [_MAX_PERIOD - 1, 2]
+        with pytest.raises(ValueError, match="period must lie"):
+            PhasorVector.exact(np.array([1]), _MAX_PERIOD + 1)
+        with pytest.raises(ValueError, match="period must lie"):
+            PhasorVector.exact(np.array([1]), 0)
+
+    def test_period_2_pow_40_rejected(self):
+        with pytest.raises(ValueError, match="period must lie"):
+            PhasorVector.exact(np.array([3, 10]), 2**40 + 15)
+
+    def test_binding_at_limit_is_exact(self):
+        # two indices just below the limit: their sum and product fit in int64
+        a = PhasorVector.exact(np.array([_MAX_PERIOD - 1]), _MAX_PERIOD)
+        assert hadamard(a, a).indices.tolist() == [(2 * (_MAX_PERIOD - 1)) % _MAX_PERIOD]

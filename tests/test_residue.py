@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies
 
-from residuehd.phasor import ModulusBase, PhasorVector, encode_integer
+from residuehd.phasor import _MAX_PERIOD, ModulusBase, PhasorVector, encode_integer, hadamard
 from residuehd.residue import (
     add,
     anti_base,
@@ -88,6 +88,22 @@ class TestEncode:
         assert sys357.encode(105) == sys357.encode(0)
         assert sys357.encode(313) == sys357.encode(313 % 105)
 
+    def test_range_up_to_exact_limit(self):
+        # M = 3037000498 is the largest even range within the limit
+        sys = make_residue_system((2, 1518500249), 8, seed=2)
+        M, x = sys.range_M, 2**40 + 3
+        assert M <= _MAX_PERIOD
+        expected = [
+            sum(int(b.phase_indices[j]) * x * (M // b.modulus) for b in sys.bases) % M for j in range(8)
+        ]
+        assert sys.encode(x).indices.tolist() == expected
+
+    def test_range_beyond_exact_limit_rejected(self):
+        sys = make_residue_system((2, 1518500251), 8, seed=3)
+        assert sys.range_M > _MAX_PERIOD
+        with pytest.raises(ValueError, match="exact period limit"):
+            sys.encode(5)
+
     def test_rational_matches_integer(self, sys357):
         assert np.allclose(sys357.encode_rational(17.0).values, sys357.encode(17).values, atol=1e-12)
 
@@ -129,18 +145,18 @@ class TestRingLaws:
 class TestAntiBase:
     def test_inverse_of_3_mod_5(self):
         base = ModulusBase(modulus=5, dim=4, phase_indices=np.array([3, 3, 3, 3]), seed=0, nonzero_only=True)
-        assert np.all(anti_base(base).inverse_indices == 2)
+        assert np.all(anti_base(base).indices == 2)
 
     def test_inverse_of_1_is_1(self):
         base = ModulusBase(modulus=7, dim=3, phase_indices=np.array([1, 1, 1]), seed=0, nonzero_only=True)
-        assert np.all(anti_base(base).inverse_indices == 1)
+        assert np.all(anti_base(base).indices == 1)
 
     def test_exhaustive_mod7(self):
         base = ModulusBase(
             modulus=7, dim=6, phase_indices=np.arange(1, 7, dtype=np.int64), seed=0, nonzero_only=True
         )
         ab = anti_base(base)
-        assert np.all((base.phase_indices * ab.inverse_indices) % 7 == 1)
+        assert np.all((base.phase_indices * ab.indices) % 7 == 1)
 
     def test_requires_prime(self):
         base = ModulusBase(modulus=6, dim=2, phase_indices=np.array([1, 5]), seed=0)
@@ -175,10 +191,16 @@ class TestFOp:
             x1, x2 = int(rng.integers(105)), int(rng.integers(105))
             for base in prime_sys.bases:
                 m = base.modulus
-                y = anti_base(base).as_vector()
+                y = anti_base(base)
                 out = f_op(f_op(encode_integer(base, x1), encode_integer(base, x2)), y)
                 expected = (base.phase_indices * (x1 * x2)) % m
                 assert np.array_equal(out.indices, expected)
+
+    def test_period_beyond_exact_limit_rejected(self):
+        # the index product (m-2)(m-5) would wrap int64 at this period
+        m = 2**40 + 15
+        with pytest.raises(ValueError):
+            f_op(PhasorVector.exact([m - 2], m), PhasorVector.exact([m - 5], m))
 
     def test_period_mismatch(self):
         import residuehd.phasor as ph
@@ -258,6 +280,14 @@ class TestMultiply:
             assert out == prime_sys.encode((x * c_inv) % 105)
         with pytest.raises(ValueError, match="invertible"):
             multiply_by_constant_inverse(prime_sys, prime_sys.encode(1), 21)
+
+    def test_constant_inverse_operand_beyond_exact_limit_rejected(self):
+        # M is 2.8e14: index times c^(-1) would wrap int64, so no exact
+        # vector of that period can be built for it to multiply
+        sys = make_residue_system((65521, 65519, 65537), 8, seed=106, nonzero_only=True)
+        a, b, c = sys.encode_factors(12345)
+        with pytest.raises(ValueError, match="exact period limit"):
+            hadamard(hadamard(a, b), c)
 
 
 class TestResidueKernel:
