@@ -189,12 +189,19 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(t) for t in text.replace(",", " ").split()]
 
 
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ... up to hi (inclusive within half a step)."""
+    if not step > 0:
+        raise ValueError(f"step must be > 0, got {step}")
+    return np.arange(lo, hi + step / 2, step)
+
+
 # --- subcommands ----------------------------------------------------------
 
 
 def _cmd_kernel(cfg, outdir):
     base = sample_base(cfg["m"], cfg["D"], cfg["seed"])
-    grid = np.arange(cfg["lo"], cfg["hi"] + cfg["step"] / 2, cfg["step"])
+    grid = _grid(cfg["lo"], cfg["hi"], cfg["step"])
     rows = kernel_curve(base, grid)
     write_curve_csv(outdir / f"kernel_m{cfg['m']}.csv", rows)
     worst = max(r[3] for r in rows)
@@ -260,7 +267,7 @@ def _cmd_noise(cfg, outdir):
 
 def _cmd_hex(cfg, outdir):
     hexsys = HexSystem(cfg["moduli"], cfg["D"], cfg["seed"])
-    xs = np.arange(-cfg["extent"], cfg["extent"] + cfg["step"] / 2, cfg["step"])
+    xs = _grid(-cfg["extent"], cfg["extent"], cfg["step"])
     write_hex_heatmap_csv(outdir / "hex_kernel.csv", hexsys, xs, xs)
     rows = []
     for m in range(1, cfg["max_m"] + 1):

@@ -105,7 +105,7 @@ class HexSystem:
     three directions.
     """
 
-    __slots__ = ("moduli", "dim", "seed", "directions", "_books")
+    __slots__ = ("moduli", "dim", "directions", "_books")
 
     def __init__(self, moduli, D: int, seed: int):
         if isinstance(moduli, int):
@@ -115,16 +115,11 @@ class HexSystem:
         self.directions = tuple(ResidueSystem(moduli, bases) for bases in zip(*triplets))
         self.moduli = moduli
         self.dim = D
-        self.seed = int(seed)
         self._books = None  # the 3K direction codebooks, built on the first decode
 
     @property
     def range_M(self) -> int:
         return self.directions[0].range_M
-
-    def _triplets(self):
-        """The base triplet of each modulus, in modulus order."""
-        return zip(*(d.bases for d in self.directions))
 
     def encode(self, y3: Sequence[int]) -> PhasorVector:
         """Exact encoding of an integer 3-coordinate; invariant under +(1,1,1).
@@ -141,36 +136,28 @@ class HexSystem:
         """Recover a canonical 3-coordinate from an encoding.
 
         Decoding for the hexagonal frame is our own construction: run
-        a resonator over the per-direction integer codebooks, take the
-        per-modulus coordinate differences (which are invariant to the
-        diagonal shift each modulus admits independently), CRT-combine
-        them per axis, and return the class representative with the
-        smallest maximum coordinate (ties lexicographic). RuntimeError
-        is raised when no attempt's decoded labels reproduce v.
+        a resonator over the per-direction integer codebooks and
+        CRT-combine each direction's labels into y. Each modulus admits
+        its own diagonal shift, so y is known only up to a shift of
+        (1,1,1); the class representative returned is the one with the
+        smallest maximum coordinate (ties lexicographic). Shifting down
+        until a coordinate reaches 0 lowers the maximum, so it is one
+        of the three shifts that zero a coordinate. RuntimeError is
+        raised when no attempt's decoded labels reproduce v.
         """
         from .residue import crt_reconstruct
-        from .resonator import ResonatorConfig, _modular_codebook, resonator_factorize
+        from .resonator import ResonatorConfig, build_residue_codebooks, resonator_factorize
 
         if self._books is None:
-            self._books = [_modular_codebook(b.modulus, b.phase_indices) for t in self._triplets() for b in t]
+            # modulus-major: the three direction books of modulus k sit at 3k, 3k+1, 3k+2
+            per_direction = [build_residue_codebooks(d) for d in self.directions]
+            self._books = [book for books in zip(*per_direction) for book in books]
         state = resonator_factorize(v, self._books, config or ResonatorConfig(max_iters=30, max_restarts=5))
         if not state.converged:
             raise RuntimeError("resonator failed to factorize the hexagonal encoding")
-        d1_res, d2_res = [], []
-        for k, m in enumerate(self.moduli):
-            a, b, c = state.labels[3 * k : 3 * k + 3]
-            d1_res.append((a - c) % m)
-            d2_res.append((b - c) % m)
         M = self.range_M
-        d1 = crt_reconstruct(d1_res, self.moduli)
-        d2 = crt_reconstruct(d2_res, self.moduli)
-        best = None
-        for t in range(M):
-            cand = ((d1 + t) % M, (d2 + t) % M, t)
-            key = (max(cand), cand)
-            if best is None or key < best[0]:
-                best = (key, cand)
-        return best[1]
+        y = [crt_reconstruct(state.labels[d::3], self.moduli) for d in range(3)]
+        return min((tuple((c - s) % M for c in y) for s in y), key=lambda c: (max(c), c))
 
     def encode_continuous(self, xy) -> PhasorVector:
         """Dense encoding of a plane point without rounding (for kernel maps).
@@ -183,7 +170,7 @@ class HexSystem:
 
         y = hex_project(xy)
         phase = np.zeros(self.dim)
-        for m, (b1, b2, b3) in zip(self.moduli, self._triplets()):
+        for m, (b1, b2, b3) in zip(self.moduli, zip(*(d.bases for d in self.directions))):
             w = (
                 centered_indices(b1) * y[0]
                 + centered_indices(b2) * y[1]

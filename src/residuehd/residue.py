@@ -81,9 +81,9 @@ def _is_prime(n: int) -> bool:
 class ResidueSystem:
     """Pairwise co-prime moduli with one random base vector per modulus."""
 
-    __slots__ = ("moduli", "dim", "seed", "nonzero_only", "bases")
+    __slots__ = ("moduli", "dim", "nonzero_only", "bases")
 
-    def __init__(self, moduli, bases, seed=None, nonzero_only=False):
+    def __init__(self, moduli, bases, nonzero_only=False):
         moduli = tuple(int(m) for m in moduli)
         if len(moduli) < 1:
             raise ValueError("need at least one modulus")
@@ -103,7 +103,6 @@ class ResidueSystem:
         self.moduli = moduli
         self.bases = bases
         self.dim = bases[0].dim
-        self.seed = seed
         self.nonzero_only = nonzero_only
 
     @property
@@ -150,7 +149,7 @@ def make_residue_system(moduli, D: int, seed: int, nonzero_only: bool = False) -
     bases = []
     for k, m in enumerate(moduli):
         bases.append(sample_base(m, D, _child_seeds(seed, (k,))[0], nonzero_only=nonzero_only))
-    return ResidueSystem(moduli, bases, seed=int(seed), nonzero_only=nonzero_only)
+    return ResidueSystem(moduli, bases, nonzero_only=nonzero_only)
 
 
 def _child_seeds(seed: int, key: tuple[int, ...], n: int = 1) -> list[int]:
@@ -216,8 +215,7 @@ def multiply(sys: ResidueSystem, a, b, config=None) -> PhasorVector:
     if isinstance(a, PhasorVector) or isinstance(b, PhasorVector):
         if not (isinstance(a, PhasorVector) and isinstance(b, PhasorVector)):
             raise ValueError("mix of composed vector and factor list is not supported")
-        a = _recover_factors(sys, a, config)
-        b = _recover_factors(sys, b, config)
+        a, b = _recover_factors(sys, (a, b), config)
     a = list(a)
     b = list(b)
     if len(a) != len(sys.moduli) or len(b) != len(sys.moduli):
@@ -231,13 +229,18 @@ def multiply(sys: ResidueSystem, a, b, config=None) -> PhasorVector:
     return out
 
 
-def _recover_factors(sys: ResidueSystem, v: PhasorVector, config) -> list[PhasorVector]:
+def _recover_factors(sys: ResidueSystem, vectors, config) -> list[list[PhasorVector]]:
+    """Per-modulus exact factors of each composed vector, over one set of codebooks."""
     from .resonator import ResonatorConfig, build_residue_codebooks, resonator_factorize
 
-    state = resonator_factorize(v, build_residue_codebooks(sys), config or ResonatorConfig())
-    if not state.converged:
-        raise RuntimeError("resonator failed to factorize composed operand")
-    return [encode_integer(base, r) for base, r in zip(sys.bases, state.labels)]
+    books = build_residue_codebooks(sys)
+    out = []
+    for v in vectors:
+        state = resonator_factorize(v, books, config or ResonatorConfig())
+        if not state.converged:
+            raise RuntimeError("resonator failed to factorize composed operand")
+        out.append([encode_integer(base, r) for base, r in zip(sys.bases, state.labels)])
+    return out
 
 
 def multiply_by_constant_inverse(sys: ResidueSystem, v: PhasorVector, c: int) -> PhasorVector:
@@ -328,7 +331,7 @@ def system_from_dict(d: dict) -> ResidueSystem:
         sample_base(m, int(d["dim"]), int(s), nonzero_only=nonzero)
         for m, s in zip(moduli, d["seeds"])
     ]
-    return ResidueSystem(moduli, bases, seed=None, nonzero_only=nonzero)
+    return ResidueSystem(moduli, bases, nonzero_only=nonzero)
 
 
 def save_system(sys: ResidueSystem, path) -> None:

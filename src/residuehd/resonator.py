@@ -232,10 +232,6 @@ class ResonatorState:
     def __post_init__(self):
         self.labels = np.zeros(self.estimates.shape[0], dtype=np.int64)
 
-    @property
-    def n_factors(self) -> int:
-        return self.estimates.shape[0]
-
 
 def build_residue_codebooks(sys: ResidueSystem) -> list[Codebook]:
     """One codebook per modulus: row r is z_m(r)."""
@@ -487,11 +483,14 @@ def decode_accuracy(
 ):
     """Round-trip decode accuracy over random integers, with optional phase noise.
 
-    Returns (accuracy, mean_evaluations), deterministic per seed.
-    A right answer matches a noisy input only at about
-    I1(kappa)/I0(kappa), which can sit below VERIFY_THRESHOLD; such a
-    decode runs every attempt and returns the best-scoring one.
+    Returns (accuracy, mean_evaluations), deterministic per seed;
+    raises ValueError when trials < 1. A right answer matches a noisy
+    input only at about I1(kappa)/I0(kappa), which can sit below
+    VERIFY_THRESHOLD; such a decode runs every attempt and returns the
+    best-scoring one.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     M = sys.range_M
     books = build_residue_codebooks(sys)
     base_cfg = config or ResonatorConfig(max_iters=30, max_restarts=3)
@@ -617,8 +616,11 @@ def subinteger_experiment(
 
     Each trial draws x uniform on [0, M) and an offset j/r, encodes
     x + j/r, optionally adds phase noise, and requires the decoded
-    Fraction to match exactly. Returns (accuracy, bits, P).
+    Fraction to match exactly. Returns (accuracy, bits, P); raises
+    ValueError when trials < 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     M = sys.range_M
     P = M * r
     books = build_residue_codebooks(sys)

@@ -170,24 +170,15 @@ class SceneCodec:
         self.vsys = vsys
         self.dim = hsys.dim
         self.n_features = n_features
-        self.seed = int(seed)
         rng = np.random.default_rng(seed)
         self.feature_vectors = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_features, self.dim)))
-        self._layouts = None
-
-    def _positions(self) -> dict[str, list[Codebook]]:
-        """Position codebooks per layout, built on first use.
-
-        A standard-layout codebook holds the encodings 0 .. M-1 of one
-        axis: encode(x) has phase indices (w * x) mod M with w the indices
-        of encode(1), which is the modular codebook of modulus M and base w.
-        """
-        if self._layouts is None:
-            self._layouts = {
-                "standard": [_modular_codebook(s.range_M, s.encode(1).indices) for s in (self.hsys, self.vsys)],
-                "residue": build_residue_codebooks(self.hsys) + build_residue_codebooks(self.vsys),
-            }
-        return self._layouts
+        # A standard-layout codebook holds the encodings 0 .. M-1 of one
+        # axis: encode(x) has phase indices (w * x) mod M with w the indices
+        # of encode(1), which is the modular codebook of modulus M and base w.
+        self.layouts = {
+            "standard": [_modular_codebook(s.range_M, s.encode(1).indices) for s in (hsys, vsys)],
+            "residue": build_residue_codebooks(hsys) + build_residue_codebooks(vsys),
+        }
 
     def encode_scene(self, maps: FeatureMaps) -> SceneVector:
         """s = sum of h(x) (.) v(y) (.) d_j weighted by each coefficient."""
@@ -196,7 +187,7 @@ class SceneCodec:
             raise ValueError(
                 f"grid {W}x{H} exceeds encodable range {self.hsys.range_M}x{self.vsys.range_M}"
             )
-        h_book, v_book = self._positions()["standard"]
+        h_book, v_book = self.layouts["standard"]
         s = np.zeros(self.dim, dtype=np.complex128)
         for j, coeffs in sorted(maps.channels.items()):
             if not 0 <= j < self.n_features:
@@ -230,7 +221,7 @@ class SceneCodec:
         """
         if mode not in ("standard", "residue"):
             raise ValueError(f"unknown mode {mode!r}")
-        books = [object_codebook] + self._positions()[mode]
+        books = [object_codebook] + self.layouts[mode]
         total_vectors = sum(cb.n_entries for cb in books)
         config = config or ResonatorConfig(max_iters=15, max_restarts=9)
         z = phase_normalize(s.values)
@@ -296,10 +287,13 @@ def scene_experiment(
     """Place single objects at random positions and factorize in each mode.
 
     Returns per-mode accuracy, mean codebook evaluations, and the
-    codebook vector count, over a shared set of scenes.
+    codebook vector count, over a shared set of scenes. Raises
+    ValueError when n_scenes < 1.
     """
     from .residue import make_residue_system
 
+    if n_scenes < 1:
+        raise ValueError(f"scenes must be >= 1, got {n_scenes}")
     s_h, s_v, s_codec, s_obj, s_scene = _child_seeds(seed, (), 5)
     hsys = make_residue_system(moduli, D, s_h)
     vsys = make_residue_system(moduli, D, s_v)

@@ -17,7 +17,6 @@ pairwise co-prime (odd m makes m-1 and m+1 share a factor of 2).
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -79,21 +78,14 @@ class SubsetSumResult:
 
 
 def consecutive_triple_moduli(m: int) -> tuple[int, int, int]:
-    """{m-1, m, m+1} with m adjusted upward until pairwise co-prime.
+    """{m-1, m, m+1} for the first even m >= max(m, 4).
 
-    Odd m fails (m-1 and m+1 are both even), so the first even m >= max(m, 4)
-    is used.
+    Odd m fails (m-1 and m+1 are both even); for even m, m-1 and m+1 are
+    odd and differ by 2, so the triple is pairwise co-prime.
     """
     m = max(int(m), 4)
-    while True:
-        triple = (m - 1, m, m + 1)
-        if all(
-            math.gcd(triple[i], triple[j]) == 1
-            for i in range(3)
-            for j in range(i + 1, 3)
-        ):
-            return triple
-        m += 1
+    m += m % 2
+    return (m - 1, m, m + 1)
 
 
 def make_subsetsum_system(m: int, D: int, seed: int) -> ResidueSystem:
@@ -243,8 +235,10 @@ def benchmark(
     wall-clock time (hardware-dependent, informational only), and the
     brute-force comparison count 2^|S| expressed in resonator-sweep
     units (each sweep costs 2|S| inner products). Result rows carry one
-    solved/failed record per instance.
+    solved/failed record per instance. Raises ValueError when trials < 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     summary = []
     result_rows = []
     base_cfg = config or ResonatorConfig(max_iters=30, max_restarts=19)

@@ -160,3 +160,26 @@ class TestExperimentCommands:
                   "--growth", "2.0", "--max-M", "200", "--out", str(out)])
             outs.append(read(out / "capacity.jsonl"))
         assert outs[0] == outs[1]
+
+
+class TestInvalidCounts:
+    """A count below 1 or a grid step of 0 is an error, not NaN, a traceback or a sweep that never ends."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["noise", "--D", "128", "--moduli", "11,13", "--trials", "0"], "trials must be >= 1"),
+            # --max-M bounds the sweep, which otherwise never ends on NaN accuracy
+            (["capacity", "--D", "128", "--trials", "0", "--max-M", "500"], "trials must be >= 1"),
+            (["subint", "--D", "128", "--moduli", "11,13", "--trials", "0"], "trials must be >= 1"),
+            (["subset-sum", "--sizes", "4", "--D-values", "512", "--m", "30", "--trials", "0"], "trials must be >= 1"),
+            (["scene", "--scenes", "0", "--D", "1024", "--objects", "3", "--features", "4"], "scenes must be >= 1"),
+            (["kernel", "--D", "64", "--step", "0"], "step must be > 0"),
+            (["hex", "--moduli", "3", "--D", "64", "--step", "0"], "step must be > 0"),
+        ],
+        ids=["noise", "capacity", "subint", "subset-sum", "scene", "kernel-step", "hex-step"],
+    )
+    def test_rejected_with_error(self, tmp_path, capsys, argv, message):
+        rc = main(argv + ["--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err

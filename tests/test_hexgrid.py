@@ -212,8 +212,10 @@ class TestHexEncoding:
             return best[1]
 
         rng = np.random.default_rng(18)
-        for trial in range(10):
-            y = tuple(int(v) for v in rng.integers(0, M, size=3))
+        ys = [tuple(int(v) for v in rng.integers(0, M, size=3)) for _ in range(10)]
+        # ties in the maximum, and classes whose shifts wrap around M
+        ys += [(0, 0, 0), (2, 2, 0), (0, 3, 3), (M - 1, M - 1, M - 1), (M - 1, 0, 1)]
+        for trial, y in enumerate(ys):
             cfg = ResonatorConfig(max_iters=30, max_restarts=5, seed=trial)
             decoded = hs.decode(hs.encode(y), cfg)
             assert decoded == canonical(y)

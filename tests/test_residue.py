@@ -239,6 +239,18 @@ class TestMultiply:
         prod = multiply(sys, sys.encode(4), sys.encode(9), config=cfg)
         assert prod == sys.encode(36)
 
+    def test_composed_mode_builds_codebooks_once(self, monkeypatch):
+        from residuehd import resonator
+        from residuehd.resonator import ResonatorConfig
+
+        build_book = resonator._modular_codebook
+        built = []
+        monkeypatch.setattr(resonator, "_modular_codebook", lambda m, u: built.append(m) or build_book(m, u))
+        sys = make_residue_system([3, 5, 7], 512, seed=103, nonzero_only=True)
+        prod = multiply(sys, sys.encode(4), sys.encode(9), config=ResonatorConfig(max_iters=30, max_restarts=3, seed=0))
+        assert prod == sys.encode(36)
+        assert built == [3, 5, 7]
+
     def test_composed_mode_rejects_non_product(self):
         from residuehd.resonator import ResonatorConfig
 

@@ -53,9 +53,17 @@ class TestModuliChoice:
                 assert math.gcd(triple[i], triple[j]) == 1
 
     def test_all_returned_triples_coprime(self):
-        for m in range(4, 40):
+        def searched(m):
+            # reference: the first m >= max(m, 4) whose triple is pairwise co-prime
+            m = max(m, 4)
+            while math.gcd(m - 1, m) != 1 or math.gcd(m, m + 1) != 1 or math.gcd(m - 1, m + 1) != 1:
+                m += 1
+            return (m - 1, m, m + 1)
+
+        for m in range(-5, 3001):
             a, b, c = consecutive_triple_moduli(m)
             assert math.gcd(a, b) == math.gcd(b, c) == math.gcd(a, c) == 1
+            assert (a, b, c) == searched(m)
 
 
 class TestGenerate:
