@@ -1,8 +1,9 @@
 """Command-line experiment harness.
 
 Every subcommand wires library pieces into a seeded, reproducible run
-that writes CSV / JSON-lines data files plus a manifest recording the
-resolved configuration, its hash, the seed, and library versions.
+that writes CSV / JSON-lines data files plus, once the run has
+succeeded, a manifest recording the resolved configuration, its hash,
+the seed, and library versions.
 Rerunning with an identical configuration produces byte-identical
 outputs (no timestamps, sorted keys, repr floats).
 
@@ -169,6 +170,10 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
         fh.write("\n")
 
 
+# flags below 1 leave an experiment nothing to run
+_AT_LEAST_ONE = {"hex": ("max_m",), "subint": ("r",), "scene": ("objects", "features")}
+
+
 def _resolve_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
     cfg = dict(DEFAULTS[command])
     if file_cfg:
@@ -182,6 +187,12 @@ def _resolve_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
     cfg.update({k: v for k, v in flag_cfg.items() if v is not None})
     if isinstance(cfg.get("kappa"), str):
         cfg["kappa"] = math.inf if cfg["kappa"] == "inf" else float(cfg["kappa"])
+    # values no run can use are rejected by flag name before anything is written
+    for key in _AT_LEAST_ONE.get(command, ()):
+        if cfg[key] < 1:
+            raise ValueError(f"--{key.replace('_', '-')} must be >= 1, got {cfg[key]}")
+    if command == "kernel" and cfg["hi"] < cfg["lo"]:
+        raise ValueError(f"--hi must be >= --lo, got --lo {cfg['lo']} --hi {cfg['hi']}")
     return cfg
 
 
@@ -465,11 +476,12 @@ def main(argv=None) -> int:
         print(f"error: cannot create output directory {outdir}: {exc}", file=sys.stderr)
         return 2
     try:
-        _write_manifest(outdir, command, cfg)
         _COMMANDS[command](cfg, outdir)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # written last, so a manifest always describes a run that completed
+    _write_manifest(outdir, command, cfg)
     return 0
 
 

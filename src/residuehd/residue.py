@@ -170,17 +170,24 @@ def subtract(sys: ResidueSystem, a: PhasorVector, b: PhasorVector) -> PhasorVect
 def anti_base(base: ModulusBase) -> PhasorVector:
     """y_m: the exact vector with indices v_j = u_j^(-1) mod m.
 
-    Requires a prime modulus and nonzero indices.
+    Requires a prime modulus and nonzero indices. Computed as the Fermat
+    power u^(m-2) by squaring; m <= _MAX_PERIOD keeps products in int64.
     """
-    m = base.modulus
+    m, u = base.modulus, base.phase_indices
     if not _is_prime(m):
         raise ValueError(f"anti-base requires a prime modulus, got {m}")
-    if np.any(base.phase_indices == 0):
+    if np.any(u == 0):
         raise ValueError("anti-base requires all phase indices nonzero (sample with nonzero_only)")
-    inv_table = np.zeros(m, dtype=np.int64)
-    for u in range(1, m):
-        inv_table[u] = pow(u, -1, m)
-    return PhasorVector.exact(inv_table[base.phase_indices], m)
+    # each value is inverted once: all m residues when they are fewer than the D indices
+    table = m < u.size
+    x = np.arange(m) if table else u
+    inv, power, e = np.ones_like(x), x, m - 2
+    while e:
+        if e & 1:
+            inv = inv * power % m
+        power = power * power % m
+        e >>= 1
+    return PhasorVector.exact(inv[u] if table else inv, m)
 
 
 def f_op(a: PhasorVector, b: PhasorVector) -> PhasorVector:

@@ -13,10 +13,12 @@ successive full states reaches the threshold ALPHA.
 Decoding a residue-encoded integer is factorization over the
 per-modulus codebooks followed by Chinese-remainder reconstruction;
 this costs sum(m_k) inner products per sweep instead of the prod(m_k)
-of brute-force codebook decoding. A modular codebook's m inner products
-and its cleanup are one length-m DFT each (ModularCodebook), so a step
-on a codebook with m * D >= DFT_MIN_SIZE costs O(D + m log m) time and
-O(D) memory in place of the O(m * D) of dense matrix products.
+of brute-force codebook decoding. Every residue codebook is a
+ModularCodebook. Its m inner products with a residual x are the DFT of
+h = bincount(u, x, m), x summed per phase index, and since that DFT is
+invertible the cleanup (conj(Z) @ x) @ Z is the group sum m * h[u].
+A step therefore costs O(D + m log m) time and O(D) memory in place of
+the O(m * D) of dense matrix products.
 
 Also here: sub-integer decoding (the resonator's fixed points retain
 fractional phase information even though codebooks hold only integer
@@ -90,9 +92,10 @@ class Codebook:
         """
         return (self.matrix @ x.conj()).conj()
 
-    def cleanup(self, c: np.ndarray) -> np.ndarray:
-        """c @ Z: the entries superposed with weights c."""
-        return c @ self.matrix
+    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(conj(Z) @ x, g(c @ Z)): the coefficients and the unit estimate."""
+        c = self.project(x)
+        return c, phase_normalize(c @ self.matrix).values
 
     def row(self, i: int) -> np.ndarray:
         """Entry i."""
@@ -106,12 +109,14 @@ class ModularCodebook:
     """Entries z(0) .. z(m-1) of one modulus, held as (m, phase indices u).
 
     Entry r has component j at the m-th root of unity of index
-    (u_j * r) mod m, so with the length-m DFT
+    (u_j * r) mod m, so with h = bincount(u, x, m) and the length-m DFT
 
-        conj(Z) @ x = fft(bincount(u, x, m))    and    c @ Z = m * ifft(c)[u]
+        conj(Z) @ x = fft(h)    and    fft(h) @ Z = m * ifft(fft(h))[u] = m * h[u]
 
-    which costs O(D + m log m) time and O(D) memory in place of the
-    O(m * D) of dense rows. It answers the same calls as Codebook.
+    A step normalizes the m values of h before the gather by u (the
+    same bits as normalizing h[u]) in O(D + m log m) time and O(D)
+    memory, in place of the O(m * D) of dense rows. It answers the
+    same calls as Codebook.
     """
 
     __slots__ = ("modulus", "phase_indices", "_roots")
@@ -128,12 +133,8 @@ class ModularCodebook:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense rows, built on each request and not kept."""
-        # written in place: a list of m rows would double the peak memory
-        rows = np.empty((self.modulus, self.dim), dtype=np.complex128)
-        for r in range(self.modulus):
-            rows[r] = self.row(r)
-        return rows
+        """The dense rows, built on each request and not kept: a reference for tests."""
+        return np.stack([self.row(r) for r in range(self.modulus)])
 
     @property
     def n_entries(self) -> int:
@@ -143,35 +144,23 @@ class ModularCodebook:
     def dim(self) -> int:
         return self.phase_indices.shape[0]
 
-    def project(self, x: np.ndarray) -> np.ndarray:
+    def _group_sum(self, x: np.ndarray) -> np.ndarray:
         u, m = self.phase_indices, self.modulus
-        return np.fft.fft(np.bincount(u, x.real, m) + 1j * np.bincount(u, x.imag, m))
+        return np.bincount(u, x.real, m) + 1j * np.bincount(u, x.imag, m)
 
-    def cleanup(self, c: np.ndarray) -> np.ndarray:
-        return self.modulus * np.fft.ifft(c)[self.phase_indices]
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.fft(self._group_sum(x))
+
+    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h = self._group_sum(x)
+        # the positive factor m leaves every phase unchanged
+        return np.fft.fft(h), phase_normalize(h).values[self.phase_indices]
 
     def row(self, i: int) -> np.ndarray:
         return self._roots[(self.phase_indices * i) % self.modulus]
 
     def __repr__(self):
         return f"ModularCodebook(n={self.n_entries}, D={self.dim})"
-
-
-# m * D at and above which a modular codebook keeps no rows and takes the
-# DFT step. Projection plus cleanup, one BLAS thread, 2-vCPU x86 VM: the DFT
-# takes 2.4x the dense time at (7, D=1024) and 1.05x at (7, D=10000), and is
-# 1.3x faster at (10, D=10000), 17x at (105, D=10000), 39x at (499, D=8192).
-DFT_MIN_SIZE = 100_000
-
-
-def _modular_codebook(modulus: int, phase_indices) -> Codebook | ModularCodebook:
-    """Entries z(0) .. z(m-1) of one modulus with phase indices u.
-
-    Dense rows when m * D < DFT_MIN_SIZE, the DFT type otherwise; both
-    give entry r as row r.
-    """
-    book = ModularCodebook(modulus, phase_indices)
-    return Codebook(book.matrix) if book.n_entries * book.dim < DFT_MIN_SIZE else book
 
 
 # successive-state similarity at which an attempt's sweeps stop
@@ -233,9 +222,9 @@ class ResonatorState:
         self.labels = np.zeros(self.estimates.shape[0], dtype=np.int64)
 
 
-def build_residue_codebooks(sys: ResidueSystem) -> list[Codebook]:
+def build_residue_codebooks(sys: ResidueSystem) -> list[ModularCodebook]:
     """One codebook per modulus: row r is z_m(r)."""
-    return [_modular_codebook(base.modulus, base.phase_indices) for base in sys.bases]
+    return [ModularCodebook(base.modulus, base.phase_indices) for base in sys.bases]
 
 
 def codebook_decode(v, codebook: Codebook) -> int:
@@ -255,19 +244,17 @@ def codebook_decode(v, codebook: Codebook) -> int:
     return int(np.argmax(scores))
 
 
-def _unbind_project(v_vals, estimates: np.ndarray, codebook: Codebook, j: int) -> np.ndarray:
-    """Factor j's coefficients: conj(Z_j) @ (v (.) prod_{i != j} conj(est_i))."""
+def _unbind(v_vals, estimates: np.ndarray, j: int) -> np.ndarray:
+    """Factor j's residual: v (.) prod_{i != j} conj(est_i)."""
     residual = v_vals.copy()
     for i in range(estimates.shape[0]):
         if i != j:
             residual *= estimates[i].conj()
-    return codebook.project(residual)
+    return residual
 
 
 def _step_inplace(v_vals, state: ResonatorState, codebooks, j: int) -> None:
-    est = state.estimates
-    coeffs = _unbind_project(v_vals, est, codebooks[j], j)
-    est[j] = phase_normalize(codebooks[j].cleanup(coeffs)).values
+    coeffs, state.estimates[j] = codebooks[j].step(_unbind(v_vals, state.estimates, j))
     state.codebook_evaluations += codebooks[j].n_entries
     # factor estimates settle only up to a global phase per factor (the
     # rotations cancel in the composed product), so the per-factor label
@@ -292,17 +279,11 @@ def _random_init(codebooks, rng) -> np.ndarray:
     return np.exp(1j * phases)
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.real(np.vdot(a, b)) / (na * nb))
-
-
 def _claim_cosine(v_vals: np.ndarray, codebooks, labels) -> float:
     """Cosine between the input and the product of the decoded entries."""
-    return _cosine(np.prod([cb.row(i) for cb, i in zip(codebooks, labels)], axis=0), v_vals)
+    claim = np.prod([cb.row(i) for cb, i in zip(codebooks, labels)], axis=0)
+    na, nb = np.linalg.norm(claim), np.linalg.norm(v_vals)
+    return 0.0 if na == 0.0 or nb == 0.0 else float(np.real(np.vdot(claim, v_vals)) / (na * nb))
 
 
 def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfig | None = None) -> ResonatorState:
@@ -400,7 +381,7 @@ def sub_integer_decode(
     # nearest and runner-up integer per modulus, by gauge-invariant magnitude
     top2 = []
     for j, book in enumerate(books):
-        coeffs = np.abs(_unbind_project(v_vals, state.estimates, book, j))
+        coeffs = np.abs(book.project(_unbind(v_vals, state.estimates, j)))
         state.codebook_evaluations += book.n_entries
         top2.append([int(i) for i in np.argsort(-coeffs)[:2]])
     anchors = sorted({crt_reconstruct(combo, sys.moduli) for combo in itertools.product(*top2)})

@@ -33,8 +33,8 @@ from .phasor import phase_normalize
 from .residue import ResidueSystem, _child_seeds, crt_reconstruct
 from .resonator import (
     Codebook,
+    ModularCodebook,
     ResonatorConfig,
-    _modular_codebook,
     build_residue_codebooks,
     resonator_factorize,
 )
@@ -75,10 +75,6 @@ class FeatureMaps:
             frozen[int(j)] = tuple(rows)
         object.__setattr__(self, "channels", frozen)
         object.__setattr__(self, "grid", (int(H), int(W)))
-
-    @property
-    def n_coefficients(self) -> int:
-        return sum(len(c) for c in self.channels.values())
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,7 @@ class SceneCodec:
         # axis: encode(x) has phase indices (w * x) mod M with w the indices
         # of encode(1), which is the modular codebook of modulus M and base w.
         self.layouts = {
-            "standard": [_modular_codebook(s.range_M, s.encode(1).indices) for s in (hsys, vsys)],
+            "standard": [ModularCodebook(s.range_M, s.encode(1).indices) for s in (hsys, vsys)],
             "residue": build_residue_codebooks(hsys) + build_residue_codebooks(vsys),
         }
 

@@ -73,8 +73,15 @@ class SubsetSumResult:
     subset: tuple[int, ...] | None  # item indices, verified to sum to the target
     restarts_used: int
     evaluations: int
-    attempts: int
-    attempt_successes: tuple[bool, ...]  # per-attempt verified outcome
+
+    @property
+    def attempts(self) -> int:
+        return self.restarts_used + 1
+
+    @property
+    def attempt_successes(self) -> tuple[bool, ...]:
+        """Per-attempt verified outcome: only the last attempt can succeed."""
+        return (False,) * self.restarts_used + (self.success,)
 
 
 def consecutive_triple_moduli(m: int) -> tuple[int, int, int]:
@@ -167,8 +174,6 @@ def solve(
         subset=subset if success else None,
         restarts_used=state.restarts_used,
         evaluations=state.codebook_evaluations,
-        attempts=state.restarts_used + 1,
-        attempt_successes=(False,) * state.restarts_used + (success,),
     )
 
 
@@ -266,12 +271,12 @@ def benchmark(
                         "evaluations": res.evaluations,
                     }
                 )
-            first = float(np.mean([r.attempt_successes[0] for r in results]))
+            # solved within t attempts: the one success came at attempt t or earlier
+            curve = [
+                float(np.mean([r.success and r.attempts <= t for r in results]))
+                for t in range(1, max(r.attempts for r in results) + 1)
+            ]
             solved = float(np.mean([r.success for r in results]))
-            curve = []
-            max_t = max(len(r.attempt_successes) for r in results)
-            for t in range(1, max_t + 1):
-                curve.append(float(np.mean([any(r.attempt_successes[:t]) for r in results])))
             mean_evals = float(np.mean([r.evaluations for r in results]))
             summary.append(
                 {
@@ -280,7 +285,7 @@ def benchmark(
                     "moduli": list(sys.moduli),
                     "M": sys.range_M,
                     "trials": int(trials),
-                    "first_attempt_success": first,
+                    "first_attempt_success": curve[0],
                     "success_within_budget": solved,
                     "success_by_attempt": curve,
                     "mean_evaluations": mean_evals,

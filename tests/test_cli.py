@@ -183,3 +183,26 @@ class TestInvalidCounts:
         rc = main(argv + ["--out", str(tmp_path / "o")])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+
+class TestFailedRuns:
+    def test_failed_run_leaves_no_manifest(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(["noise", "--D", "64", "--moduli", "11,13", "--trials", "0", "--out", str(out)]) == 1
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["subint", "--D", "64", "--moduli", "11,13", "--r", "0"], "--r"),
+            (["scene", "--D", "64", "--objects", "0"], "--objects"),
+            (["kernel", "--D", "64", "--lo", "1", "--hi", "-1"], "--hi"),
+            (["hex", "--moduli", "3", "--D", "64", "--max-m", "0"], "--max-m"),
+        ],
+        ids=["subint-r", "scene-objects", "kernel-range", "hex-max-m"],
+    )
+    def test_invalid_flag_named_before_any_file(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) != 0
+        assert f"error: {flag} must be" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())

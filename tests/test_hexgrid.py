@@ -224,9 +224,9 @@ class TestHexEncoding:
         from residuehd import resonator
         from residuehd.resonator import ResonatorConfig
 
-        builder = resonator._modular_codebook
+        builder = resonator.ModularCodebook
         built = []
-        monkeypatch.setattr(resonator, "_modular_codebook", lambda m, u: built.append(m) or builder(m, u))
+        monkeypatch.setattr(resonator, "ModularCodebook", lambda m, u: built.append(m) or builder(m, u))
         hs = HexSystem((3, 5), 1024, seed=17)
         for t, y in enumerate([(1, 2, 0), (4, 0, 3)]):
             hs.decode(hs.encode(y), ResonatorConfig(max_iters=30, max_restarts=5, seed=t))

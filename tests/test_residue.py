@@ -9,6 +9,7 @@ from hypothesis import given, strategies
 
 from residuehd.phasor import _MAX_PERIOD, ModulusBase, PhasorVector, encode_integer, hadamard
 from residuehd.residue import (
+    _is_prime,
     add,
     anti_base,
     crt_reconstruct,
@@ -168,6 +169,13 @@ class TestAntiBase:
         with pytest.raises(ValueError, match="nonzero"):
             anti_base(base)
 
+    def test_inverse_at_exact_period_limit(self):
+        # the largest prime modulus allowed: squaring a residue nearly fills int64
+        m = next(p for p in range(_MAX_PERIOD, 2, -1) if _is_prime(p))
+        u = np.random.default_rng(5).integers(1, m, size=32)
+        inv = anti_base(ModulusBase(modulus=m, dim=32, phase_indices=u, seed=0, nonzero_only=True)).indices
+        assert all(int(a) * int(b) % m == 1 for a, b in zip(u, inv))
+
 
 class TestFOp:
     def test_index_product(self):
@@ -231,6 +239,13 @@ class TestMultiply:
             prod = multiply(prime_sys, prime_sys.encode_factors(x1), prime_sys.encode_factors(x2))
             assert prod == prime_sys.encode((x1 * x2) % 105)
 
+    def test_factor_lists_at_large_prime_modulus(self):
+        # inverts only the D drawn indices, not all m residues
+        sys = make_residue_system([1000003], 64, seed=8, nonzero_only=True)
+        x1, x2 = 987654, 123457
+        prod = multiply(sys, sys.encode_factors(x1), sys.encode_factors(x2))
+        assert prod == sys.encode(x1 * x2 % 1000003)
+
     def test_composed_mode_uses_resonator(self):
         from residuehd.resonator import ResonatorConfig
 
@@ -243,9 +258,9 @@ class TestMultiply:
         from residuehd import resonator
         from residuehd.resonator import ResonatorConfig
 
-        build_book = resonator._modular_codebook
+        build_book = resonator.ModularCodebook
         built = []
-        monkeypatch.setattr(resonator, "_modular_codebook", lambda m, u: built.append(m) or build_book(m, u))
+        monkeypatch.setattr(resonator, "ModularCodebook", lambda m, u: built.append(m) or build_book(m, u))
         sys = make_residue_system([3, 5, 7], 512, seed=103, nonzero_only=True)
         prod = multiply(sys, sys.encode(4), sys.encode(9), config=ResonatorConfig(max_iters=30, max_restarts=3, seed=0))
         assert prod == sys.encode(36)

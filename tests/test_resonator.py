@@ -1,6 +1,5 @@
 """Factorization dynamics, decoding, cost accounting, capacity machinery."""
 
-import math
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -10,17 +9,23 @@ import pytest
 from hypothesis import given, settings, strategies
 from hypothesis.extra.numpy import arrays
 
-from residuehd.phasor import NoiseModel, add_phase_noise, encode_integer, sample_base, similarity
+from residuehd.phasor import (
+    ModulusBase,
+    NoiseModel,
+    add_phase_noise,
+    encode_integer,
+    phase_normalize,
+    sample_base,
+    similarity,
+)
 from residuehd.residue import make_residue_system
 from residuehd.resonator import (
-    DFT_MIN_SIZE,
     VERIFY_THRESHOLD,
     CapacityResult,
     Codebook,
     ModularCodebook,
     ResonatorConfig,
     ResonatorState,
-    _modular_codebook,
     bits_per_vector,
     build_residue_codebooks,
     capacity_experiment,
@@ -66,41 +71,33 @@ class TestCodebooks:
         cb = Codebook(matrix)
         assert np.array_equal(cb.project(x), cb.matrix.conj() @ x)
 
-    @settings(max_examples=40, deadline=None)
-    @given(data=strategies.data(), large=strategies.booleans(), real_x=strategies.booleans(),
+    @settings(max_examples=60, deadline=None)
+    @given(m=strategies.integers(1, 400), D=strategies.integers(1, 2048), real_x=strategies.booleans(),
            seed=strategies.integers(0, 2**16))
-    def test_modular_codebook_equals_dense(self, data, large, real_x, seed):
-        # the DFT type at every size, on both sides of DFT_MIN_SIZE
-        if large:
-            D = data.draw(strategies.integers(256, 2048))
-            m = data.draw(strategies.integers(math.ceil(DFT_MIN_SIZE / D), 400))
-        else:
-            m = data.draw(strategies.integers(2, 100))
-            D = data.draw(strategies.integers(1, min(2048, (DFT_MIN_SIZE - 1) // m)))
-        base = sample_base(m, D, seed)
+    def test_modular_codebook_equals_dense(self, m, D, real_x, seed):
+        # the group-sum step against the matrix products on the dense rows
+        rng = np.random.default_rng(seed)
+        base = ModulusBase(m, D, rng.integers(0, m, D), seed)
         cb = ModularCodebook(m, base.phase_indices)
         assert (cb.n_entries, cb.dim) == (m, D)
         dense = np.stack([encode_integer(base, r).values for r in range(m)])
         assert np.array_equal(cb.matrix, dense)  # built from row(r)
-        assert np.array_equal(_modular_codebook(m, base.phase_indices).matrix, dense)
-        rng = np.random.default_rng(seed)
         x = rng.normal(size=D) if real_x else rng.normal(size=D) + 1j * rng.normal(size=D)
-        c = rng.normal(size=m) + 1j * rng.normal(size=m)
+        want_c, want_est = Codebook(dense).step(x)
+        assert np.array_equal(want_c, dense.conj() @ x)
+        cleaned = want_c @ dense
+        assert np.array_equal(want_est, phase_normalize(cleaned).values)
 
         def rel_err(got, want):
             return np.linalg.norm(got - want) / np.linalg.norm(want)
 
-        assert rel_err(cb.project(x), dense.conj() @ x) <= 1e-12
-        assert rel_err(cb.cleanup(c), c @ dense) <= 1e-12
-
-    def test_builder_switches_to_dft_at_min_size(self):
-        # smallest modulus > 1 whose size m * D lands exactly on each side
-        for size, kind in ((DFT_MIN_SIZE - 1, Codebook), (DFT_MIN_SIZE, ModularCodebook)):
-            m = next(k for k in range(2, size + 1) if size % k == 0)
-            base = sample_base(m, size // m, 0)
-            book = _modular_codebook(m, base.phase_indices)
-            assert type(book) is kind and (book.n_entries, book.dim) == (m, size // m)
-            assert np.array_equal(book.row(m - 1), encode_integer(base, m - 1).values)
+        c, est = cb.step(x)
+        assert rel_err(c, want_c) <= 1e-12
+        assert rel_err(cb.project(x), want_c) <= 1e-12
+        assert np.allclose(np.abs(est), 1.0, atol=1e-15)
+        # each phase weighted by its magnitude: a component that cleans up to
+        # nearly zero has an ill-conditioned phase in both computations
+        assert rel_err(est * np.abs(cleaned), cleaned) <= 1e-12
 
     def test_large_modular_decode_keeps_no_dense_rows(self):
         # at (499, 503), D=8192 the dense codebooks would take 2 x 64 MB
@@ -134,7 +131,7 @@ class TestCodebookDecode:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_input_rejected(self, sys357, books357, bad):
-        large = _modular_codebook(499, sample_base(499, sys357.dim, 0).phase_indices)
+        large = ModularCodebook(499, sample_base(499, sys357.dim, 0).phase_indices)
         for book in (books357[1], large):
             v = np.ones(sys357.dim, dtype=complex)
             v[7] = bad

@@ -142,6 +142,15 @@ class TestSolve:
         assert res.attempts == 5
         assert len(res.attempt_successes) == 5
 
+    def test_attempt_record_is_derived(self, sys200):
+        res = solve(SubsetSumInstance(items=(7, 11, 13), target=31), sys200,
+                    ResonatorConfig(max_iters=20, max_restarts=9, seed=3))
+        assert res.success
+        assert res.attempts == res.restarts_used + 1
+        assert res.attempt_successes == (False,) * res.restarts_used + (True,)
+        with pytest.raises(AttributeError):
+            res.attempts = 1
+
     def test_soundness_every_success_verifies(self, sys200):
         for seed in range(15):
             inst = generate_instance(8, sys200, seed=100 + seed)
