@@ -1,9 +1,8 @@
 """Command-line experiment harness.
 
 Every subcommand wires library pieces into a seeded, reproducible run
-that writes CSV / JSON-lines data files plus, once the run has
-succeeded, a manifest recording the resolved configuration, its hash,
-the seed, and library versions.
+that writes CSV / JSON-lines data files and, on success, a manifest of
+the resolved configuration, its hash, the seed, and library versions.
 Rerunning with an identical configuration produces byte-identical
 outputs (no timestamps, sorted keys, repr floats).
 
@@ -170,10 +169,6 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
         fh.write("\n")
 
 
-# flags below 1 leave an experiment nothing to run
-_AT_LEAST_ONE = {"hex": ("max_m",), "subint": ("r",), "scene": ("objects", "features")}
-
-
 def _resolve_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
     cfg = dict(DEFAULTS[command])
     if file_cfg:
@@ -187,8 +182,8 @@ def _resolve_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
     cfg.update({k: v for k, v in flag_cfg.items() if v is not None})
     if isinstance(cfg.get("kappa"), str):
         cfg["kappa"] = math.inf if cfg["kappa"] == "inf" else float(cfg["kappa"])
-    # values no run can use are rejected by flag name before anything is written
-    for key in _AT_LEAST_ONE.get(command, ()):
+    # flags below 1 leave a run nothing to do: rejected by name before any write
+    for key in {"hex": ("max_m",), "subint": ("r",), "scene": ("objects", "features")}.get(command, ()):
         if cfg[key] < 1:
             raise ValueError(f"--{key.replace('_', '-')} must be >= 1, got {cfg[key]}")
     if command == "kernel" and cfg["hi"] < cfg["lo"]:
@@ -475,12 +470,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot create output directory {outdir}: {exc}", file=sys.stderr)
         return 2
+    # the manifest is written last, and an earlier run's must not outlive a failed one
+    (outdir / "manifest.json").unlink(missing_ok=True)
     try:
         _COMMANDS[command](cfg, outdir)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # written last, so a manifest always describes a run that completed
     _write_manifest(outdir, command, cfg)
     return 0
 

@@ -178,16 +178,13 @@ def anti_base(base: ModulusBase) -> PhasorVector:
         raise ValueError(f"anti-base requires a prime modulus, got {m}")
     if np.any(u == 0):
         raise ValueError("anti-base requires all phase indices nonzero (sample with nonzero_only)")
-    # each value is inverted once: all m residues when they are fewer than the D indices
-    table = m < u.size
-    x = np.arange(m) if table else u
-    inv, power, e = np.ones_like(x), x, m - 2
+    inv, power, e = np.ones_like(u), u, m - 2
     while e:
         if e & 1:
             inv = inv * power % m
         power = power * power % m
         e >>= 1
-    return PhasorVector.exact(inv[u] if table else inv, m)
+    return PhasorVector.exact(inv, m)
 
 
 def f_op(a: PhasorVector, b: PhasorVector) -> PhasorVector:

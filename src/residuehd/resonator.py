@@ -109,14 +109,8 @@ class ModularCodebook:
     """Entries z(0) .. z(m-1) of one modulus, held as (m, phase indices u).
 
     Entry r has component j at the m-th root of unity of index
-    (u_j * r) mod m, so with h = bincount(u, x, m) and the length-m DFT
-
-        conj(Z) @ x = fft(h)    and    fft(h) @ Z = m * ifft(fft(h))[u] = m * h[u]
-
-    A step normalizes the m values of h before the gather by u (the
-    same bits as normalizing h[u]) in O(D + m log m) time and O(D)
-    memory, in place of the O(m * D) of dense rows. It answers the
-    same calls as Codebook.
+    (u_j * r) mod m. With h = bincount(u, x, m), conj(Z) @ x = fft(h) and
+    the step's cleanup is m * h[u] (see the module docstring), in O(D) memory.
     """
 
     __slots__ = ("modulus", "phase_indices", "_roots")
@@ -134,7 +128,11 @@ class ModularCodebook:
     @property
     def matrix(self) -> np.ndarray:
         """The dense rows, built on each request and not kept: a reference for tests."""
-        return np.stack([self.row(r) for r in range(self.modulus)])
+        # written in place: a list of m rows would double the peak memory
+        rows = np.empty((self.modulus, self.dim), dtype=np.complex128)
+        for r in range(self.modulus):
+            rows[r] = self.row(r)
+        return rows
 
     @property
     def n_entries(self) -> int:
@@ -153,14 +151,13 @@ class ModularCodebook:
 
     def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h = self._group_sum(x)
-        # the positive factor m leaves every phase unchanged
+        # g(m * h)[u] is g(h)[u]: g maps elementwise and the factor m moves no phase
         return np.fft.fft(h), phase_normalize(h).values[self.phase_indices]
 
     def row(self, i: int) -> np.ndarray:
         return self._roots[(self.phase_indices * i) % self.modulus]
 
-    def __repr__(self):
-        return f"ModularCodebook(n={self.n_entries}, D={self.dim})"
+    __repr__ = Codebook.__repr__
 
 
 # successive-state similarity at which an attempt's sweeps stop
@@ -279,11 +276,17 @@ def _random_init(codebooks, rng) -> np.ndarray:
     return np.exp(1j * phases)
 
 
+def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.real(np.vdot(a, b)) / (na * nb))
+
+
 def _claim_cosine(v_vals: np.ndarray, codebooks, labels) -> float:
     """Cosine between the input and the product of the decoded entries."""
-    claim = np.prod([cb.row(i) for cb, i in zip(codebooks, labels)], axis=0)
-    na, nb = np.linalg.norm(claim), np.linalg.norm(v_vals)
-    return 0.0 if na == 0.0 or nb == 0.0 else float(np.real(np.vdot(claim, v_vals)) / (na * nb))
+    return _cosine(np.prod([cb.row(i) for cb, i in zip(codebooks, labels)], axis=0), v_vals)
 
 
 def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfig | None = None) -> ResonatorState:

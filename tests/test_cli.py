@@ -188,7 +188,10 @@ class TestInvalidCounts:
 class TestFailedRuns:
     def test_failed_run_leaves_no_manifest(self, tmp_path):
         out = tmp_path / "d"
-        assert main(["noise", "--D", "64", "--moduli", "11,13", "--trials", "0", "--out", str(out)]) == 1
+        noise = ["noise", "--D", "64", "--moduli", "11,13", "--out", str(out)]
+        assert main(noise + ["--trials", "1"]) == 0
+        assert (out / "manifest.json").exists()
+        assert main(noise + ["--trials", "0"]) == 1
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize(
