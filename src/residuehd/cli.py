@@ -183,11 +183,15 @@ def _resolve_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
     if isinstance(cfg.get("kappa"), str):
         cfg["kappa"] = math.inf if cfg["kappa"] == "inf" else float(cfg["kappa"])
     # flags below 1 leave a run nothing to do: rejected by name before any write
-    for key in {"hex": ("max_m",), "subint": ("r",), "scene": ("objects", "features")}.get(command, ()):
+    at_least_one = {"capacity": ("K",), "hex": ("max_m",), "subint": ("r",), "scene": ("objects", "features"),
+                    "baselines": ("thermo_D", "float_D", "float_w", "scatter_D", "scatter_seeds")}
+    for key in at_least_one.get(command, ()):
         if cfg[key] < 1:
             raise ValueError(f"--{key.replace('_', '-')} must be >= 1, got {cfg[key]}")
     if command == "kernel" and cfg["hi"] < cfg["lo"]:
         raise ValueError(f"--hi must be >= --lo, got --lo {cfg['lo']} --hi {cfg['hi']}")
+    if command == "baselines" and cfg["float_w"] > cfg["float_D"]:
+        raise ValueError(f"--float-w must be <= --float-D, got {cfg['float_w']} > {cfg['float_D']}")
     return cfg
 
 

@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .phasor import ModulusBase, PhasorVector, hadamard, sample_base, similarity
-from .residue import ResidueSystem, _child_seeds
+from .residue import ResidueSystem, _child_seeds, crt_reconstruct
+from .resonator import ResonatorConfig, build_residue_codebooks, resonator_factorize
 
 __all__ = [
     "PSI",
@@ -115,7 +116,9 @@ class HexSystem:
         self.directions = tuple(ResidueSystem(moduli, bases) for bases in zip(*triplets))
         self.moduli = moduli
         self.dim = D
-        self._books = None  # the 3K direction codebooks, built on the first decode
+        # modulus-major: the three direction books of modulus k sit at 3k, 3k+1, 3k+2
+        per_direction = [build_residue_codebooks(d) for d in self.directions]
+        self._books = [book for books in zip(*per_direction) for book in books]
 
     @property
     def range_M(self) -> int:
@@ -145,13 +148,6 @@ class HexSystem:
         of the three shifts that zero a coordinate. RuntimeError is
         raised when no attempt's decoded labels reproduce v.
         """
-        from .residue import crt_reconstruct
-        from .resonator import ResonatorConfig, build_residue_codebooks, resonator_factorize
-
-        if self._books is None:
-            # modulus-major: the three direction books of modulus k sit at 3k, 3k+1, 3k+2
-            per_direction = [build_residue_codebooks(d) for d in self.directions]
-            self._books = [book for books in zip(*per_direction) for book in books]
         state = resonator_factorize(v, self._books, config or ResonatorConfig(max_iters=30, max_restarts=5))
         if not state.converged:
             raise RuntimeError("resonator failed to factorize the hexagonal encoding")

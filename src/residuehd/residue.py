@@ -14,6 +14,9 @@ ring arithmetic:
                      multiplies phase indices mod m and y_m is the
                      anti-base of modular multiplicative inverses.
 
+An exact composed vector holds its per-modulus factors exactly:
+:meth:`ResidueSystem.split` raises it componentwise to the CRT
+idempotent of each modulus, so multiplication needs no decoder.
 Multiplicative binding requires every modulus to be prime and every
 base phase index nonzero. Division is not provided; see
 :func:`multiply_by_constant_inverse` for the invertible-constant case.
@@ -127,6 +130,18 @@ class ResidueSystem:
             out = f if out is None else hadamard(out, f)
         return out
 
+    def split(self, v: PhasorVector) -> list[PhasorVector]:
+        """Per-modulus factors of an exact composed vector; inverts :meth:`encode`.
+
+        The factor for modulus m is v raised componentwise to the CRT
+        idempotent of m, read at period m. Raises ValueError unless v is
+        exact with period M.
+        """
+        M = self.range_M
+        if not v.is_exact or v.period != M:
+            raise ValueError("expected an exact composed vector with period M")
+        return [PhasorVector.exact(v.indices % m * pow(M // m, -1, m) % m, m) for m in self.moduli]
+
     def encode_rational(self, q: float) -> PhasorVector:
         """Dense composed encoding of a real/rational value."""
         out = None
@@ -199,29 +214,20 @@ def f_op(a: PhasorVector, b: PhasorVector) -> PhasorVector:
     return PhasorVector.exact((a.indices * b.indices) % a.period, a.period)
 
 
-def multiply(sys: ResidueSystem, a, b, config=None) -> PhasorVector:
+def multiply(sys: ResidueSystem, a, b) -> PhasorVector:
     """Multiplicative binding: z(x1) * z(x2) -> z(x1 * x2 mod M).
 
-    Two input modes:
-
-    * per-modulus factor lists (the exact, primary path): `a` and `b`
-      are sequences of K exact vectors as returned by
-      :meth:`ResidueSystem.encode_factors`;
-    * composed vectors: `a` and `b` are single PhasorVectors, and a
-      resonator factorization recovers the per-modulus factors first
-      (`config` is an optional resonator configuration).
-
-    All moduli must be prime and bases sampled with nonzero_only.
+    Each operand is either a list of K exact per-modulus factors, as
+    returned by :meth:`ResidueSystem.encode_factors`, or an exact
+    composed vector with period M, which :meth:`ResidueSystem.split`
+    turns into that list. A dense operand raises ValueError: decode it
+    first with `decode_residue_number` and pass `encode_factors` of the
+    result. All moduli must be prime and bases sampled with nonzero_only.
     """
     for m in sys.moduli:
         if not _is_prime(m):
             raise ValueError(f"multiplicative binding requires prime moduli, got {m}")
-    if isinstance(a, PhasorVector) or isinstance(b, PhasorVector):
-        if not (isinstance(a, PhasorVector) and isinstance(b, PhasorVector)):
-            raise ValueError("mix of composed vector and factor list is not supported")
-        a, b = _recover_factors(sys, (a, b), config)
-    a = list(a)
-    b = list(b)
+    a, b = (sys.split(v) if isinstance(v, PhasorVector) else list(v) for v in (a, b))
     if len(a) != len(sys.moduli) or len(b) != len(sys.moduli):
         raise ValueError("need one factor vector per modulus")
     out = None
@@ -230,20 +236,6 @@ def multiply(sys: ResidueSystem, a, b, config=None) -> PhasorVector:
             raise ValueError("factor period does not match its modulus")
         part = f_op(f_op(fa, fb), anti_base(base))
         out = part if out is None else hadamard(out, part)
-    return out
-
-
-def _recover_factors(sys: ResidueSystem, vectors, config) -> list[list[PhasorVector]]:
-    """Per-modulus exact factors of each composed vector, over one set of codebooks."""
-    from .resonator import ResonatorConfig, build_residue_codebooks, resonator_factorize
-
-    books = build_residue_codebooks(sys)
-    out = []
-    for v in vectors:
-        state = resonator_factorize(v, books, config or ResonatorConfig())
-        if not state.converged:
-            raise RuntimeError("resonator failed to factorize composed operand")
-        out.append([encode_integer(base, r) for base, r in zip(sys.bases, state.labels)])
     return out
 
 

@@ -122,8 +122,9 @@ class ModularCodebook:
         self.modulus = m
         self.phase_indices = np.asarray(phase_indices, dtype=np.int64) % m
         # rows are looked up in the m roots of unity instead of one complex
-        # exp per component; the lookup gives the same bits as encode_integer
-        self._roots = PhasorVector.exact(np.arange(m), m).values
+        # exp per component; the lookup gives the same bits as encode_integer.
+        # The table is built on the first lookup, so a book costs O(D) to build
+        self._roots = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -155,6 +156,8 @@ class ModularCodebook:
         return np.fft.fft(h), phase_normalize(h).values[self.phase_indices]
 
     def row(self, i: int) -> np.ndarray:
+        if self._roots is None:
+            self._roots = PhasorVector.exact(np.arange(self.modulus), self.modulus).values
         return self._roots[(self.phase_indices * i) % self.modulus]
 
     __repr__ = Codebook.__repr__
@@ -552,8 +555,11 @@ def capacity_experiment(
     Windows slide along the ascending prime list; to keep runtime sane
     the next measured window is the first one whose M grows by at least
     `growth`. The sweep stops once accuracy falls below stop_threshold
-    (default: the accuracy threshold itself) or M exceeds max_M.
+    (default: the accuracy threshold itself) or M exceeds max_M. Raises
+    ValueError when K < 1, which leaves no window to measure.
     """
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     if stop_threshold is None:
         stop_threshold = accuracy_threshold
     result = CapacityResult(D=D, K=K, kappa=kappa, accuracy_threshold=accuracy_threshold)

@@ -201,8 +201,17 @@ class TestFailedRuns:
             (["scene", "--D", "64", "--objects", "0"], "--objects"),
             (["kernel", "--D", "64", "--lo", "1", "--hi", "-1"], "--hi"),
             (["hex", "--moduli", "3", "--D", "64", "--max-m", "0"], "--max-m"),
+            (["capacity", "--D", "64", "--K", "0"], "--K"),
+            (["baselines", "--thermo-D", "0"], "--thermo-D"),
+            (["baselines", "--float-D", "0"], "--float-D"),
+            (["baselines", "--scatter-D", "0"], "--scatter-D"),
+            (["baselines", "--scatter-seeds", "0"], "--scatter-seeds"),
+            (["baselines", "--float-w", "0"], "--float-w"),
+            (["baselines", "--float-D", "8", "--float-w", "9"], "--float-w"),
         ],
-        ids=["subint-r", "scene-objects", "kernel-range", "hex-max-m"],
+        ids=["subint-r", "scene-objects", "kernel-range", "hex-max-m", "capacity-K", "baselines-thermo-D",
+             "baselines-float-D", "baselines-scatter-D", "baselines-scatter-seeds", "baselines-float-w",
+             "baselines-float-w-above-D"],
     )
     def test_invalid_flag_named_before_any_file(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "o"

@@ -15,9 +15,11 @@ from residuehd.residue import (
     crt_reconstruct,
     f_op,
     landau_g,
+    load_system,
     make_residue_system,
     multiply,
     multiply_by_constant_inverse,
+    save_system,
     subtract,
     system_from_dict,
     system_to_dict,
@@ -246,37 +248,57 @@ class TestMultiply:
         prod = multiply(sys, sys.encode_factors(x1), sys.encode_factors(x2))
         assert prod == sys.encode(x1 * x2 % 1000003)
 
-    def test_composed_mode_uses_resonator(self):
-        from residuehd.resonator import ResonatorConfig
+    def test_composed_mode_matches_factor_lists(self):
+        sys = make_residue_system([3, 5, 7], 512, seed=103, nonzero_only=True)
+        prod = multiply(sys, sys.encode(4), sys.encode(9))
+        assert prod == multiply(sys, sys.encode_factors(4), sys.encode_factors(9)) == sys.encode(36)
+
+    def test_composed_mode_runs_no_decoder(self, monkeypatch):
+        from residuehd import resonator
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("composed multiply must not decode")
+
+        monkeypatch.setattr(resonator, "ModularCodebook", forbidden)
+        monkeypatch.setattr(resonator, "resonator_factorize", forbidden)
+        sys = make_residue_system([3, 5, 7], 512, seed=103, nonzero_only=True)
+        assert multiply(sys, sys.encode(4), sys.encode(9)) == sys.encode(36)
+
+    def test_composed_mode_rejects_dense_operand(self):
+        sys = make_residue_system([3, 5, 7], 256, seed=0, nonzero_only=True)
+        with pytest.raises(ValueError, match="exact composed vector"):
+            multiply(sys, sys.encode(4).to_dense(), sys.encode(2))
+
+    def test_decode_then_multiply_dense_operands(self):
+        from residuehd.resonator import ResonatorConfig, decode_residue_number
 
         sys = make_residue_system([3, 5, 7], 512, seed=103, nonzero_only=True)
         cfg = ResonatorConfig(max_iters=30, max_restarts=3, seed=0)
-        prod = multiply(sys, sys.encode(4), sys.encode(9), config=cfg)
-        assert prod == sys.encode(36)
+        factors = []
+        for x in (4, 9):
+            decoded, state = decode_residue_number(sys, sys.encode(x).to_dense(), cfg)
+            assert state.converged
+            factors.append(sys.encode_factors(decoded))
+        assert multiply(sys, *factors) == sys.encode(36)
 
-    def test_composed_mode_builds_codebooks_once(self, monkeypatch):
-        from residuehd import resonator
-        from residuehd.resonator import ResonatorConfig
+    @pytest.mark.parametrize("moduli, D", [((23, 29, 31), 1024), ((50021, 50023), 512)], ids=["K3", "K2-large"])
+    def test_composed_mode_where_a_resonator_decode_fails(self, moduli, D):
+        # a resonator decode with the default config does not recover
+        # these operands; the CRT split cannot fail
+        sys = make_residue_system(moduli, D, seed=0, nonzero_only=True)
+        x1, x2 = 1234, 5678
+        assert multiply(sys, sys.encode(x1), sys.encode(x2)) == sys.encode(x1 * x2 % sys.range_M)
 
-        build_book = resonator.ModularCodebook
-        built = []
-        monkeypatch.setattr(resonator, "ModularCodebook", lambda m, u: built.append(m) or build_book(m, u))
-        sys = make_residue_system([3, 5, 7], 512, seed=103, nonzero_only=True)
-        prod = multiply(sys, sys.encode(4), sys.encode(9), config=ResonatorConfig(max_iters=30, max_restarts=3, seed=0))
-        assert prod == sys.encode(36)
-        assert built == [3, 5, 7]
+    @given(sys=prime_systems(), x1=integers, x2=integers)
+    def test_split_inverts_encode(self, sys, x1, x2):
+        assert sys.split(sys.encode(x1)) == sys.encode_factors(x1)
+        by_lists = multiply(sys, sys.encode_factors(x1), sys.encode_factors(x2))
+        assert multiply(sys, sys.encode(x1), sys.encode(x2)) == by_lists
+        assert multiply(sys, sys.encode(x1), sys.encode_factors(x2)) == by_lists
 
-    def test_composed_mode_rejects_non_product(self):
-        from residuehd.resonator import ResonatorConfig
-
-        # random phases reach the convergence threshold without being a
-        # product of codebook entries; the decoded factors must be checked
-        sys = make_residue_system([3, 5, 7], 256, seed=0, nonzero_only=True)
-        rng = np.random.default_rng(20)
-        for t in range(5):
-            noise = PhasorVector.dense(np.exp(1j * rng.uniform(0, 2 * np.pi, sys.dim)))
-            with pytest.raises(RuntimeError):
-                multiply(sys, noise, sys.encode(2), config=ResonatorConfig(seed=t))
+    def test_split_rejects_wrong_period(self, prime_sys):
+        with pytest.raises(ValueError, match="period M"):
+            prime_sys.split(prime_sys.encode_factors(2)[0])
 
     def test_composite_modulus_rejected(self):
         sys = make_residue_system([4, 9], 16, seed=104, nonzero_only=True)
@@ -405,7 +427,8 @@ class TestCRT:
 class TestSerialization:
     def test_system_round_trip(self, tmp_path):
         sys = make_residue_system([3, 5, 7], 32, seed=106, nonzero_only=True)
-        restored = system_from_dict(system_to_dict(sys))
+        save_system(sys, tmp_path / "system.json")
+        restored = load_system(tmp_path / "system.json")
         assert restored.moduli == sys.moduli
         for a, b in zip(restored.bases, sys.bases):
             assert np.array_equal(a.phase_indices, b.phase_indices)

@@ -419,6 +419,12 @@ class TestCapacityExperiment:
         assert ms == sorted(ms)
         assert res.capacity >= ms[0]
 
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_no_moduli_rejected(self, K):
+        # K = 0 builds empty windows with M = 1, which the sweep would skip forever
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            capacity_experiment(D=64, K=K, trials=1)
+
     def test_determinism(self):
         r1 = capacity_experiment(D=128, K=2, trials=10, seed=9, growth=2.0, max_M=500)
         r2 = capacity_experiment(D=128, K=2, trials=10, seed=9, growth=2.0, max_M=500)
