@@ -270,8 +270,13 @@ def phase_normalize(v) -> PhasorVector:
     """
     vals = v.values if isinstance(v, PhasorVector) else np.asarray(v, dtype=np.complex128)
     mags = np.abs(vals)
-    out = np.where(mags > 0.0, vals / np.where(mags > 0.0, mags, 1.0), 1.0 + 0.0j)
-    return PhasorVector.dense(out, validate=False)
+    if mags.size and not mags.min() > 0.0:  # a zero (or NaN) magnitude
+        unset = ~(mags > 0.0)
+        mags[unset] = 1.0
+        out = vals / mags
+        out[unset] = 1.0
+        return PhasorVector.dense(out, validate=False)
+    return PhasorVector.dense(vals / mags, validate=False)
 
 
 def add_phase_noise(v: PhasorVector, noise: NoiseModel) -> PhasorVector:

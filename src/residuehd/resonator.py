@@ -156,9 +156,12 @@ class ModularCodebook:
         return np.fft.fft(h), phase_normalize(h).values[self.phase_indices]
 
     def row(self, i: int) -> np.ndarray:
+        m = self.modulus
         if self._roots is None:
-            self._roots = PhasorVector.exact(np.arange(self.modulus), self.modulus).values
-        return self._roots[(self.phase_indices * i) % self.modulus]
+            self._roots = PhasorVector.exact(np.arange(m), m).values
+        # component j is root (u_j * i) mod m: permute the m roots, then
+        # gather, so the index arithmetic is O(m) and the D-length work one lookup
+        return self._roots[(np.arange(m) * (i % m)) % m][self.phase_indices]
 
     __repr__ = Codebook.__repr__
 
@@ -253,8 +256,9 @@ def _unbind(v_vals, estimates: np.ndarray, j: int) -> np.ndarray:
     return residual
 
 
-def _step_inplace(v_vals, state: ResonatorState, codebooks, j: int) -> None:
-    coeffs, state.estimates[j] = codebooks[j].step(_unbind(v_vals, state.estimates, j))
+def _apply_step(state: ResonatorState, codebooks, j: int, residual: np.ndarray) -> None:
+    """Replace factor j's estimate with the cleanup of its residual."""
+    coeffs, state.estimates[j] = codebooks[j].step(residual)
     state.codebook_evaluations += codebooks[j].n_entries
     # factor estimates settle only up to a global phase per factor (the
     # rotations cancel in the composed product), so the per-factor label
@@ -269,7 +273,7 @@ def resonator_step(v, state: ResonatorState, codebooks: Sequence[Codebook], j: i
         raise ValueError("input dimension does not match state")
     if not 0 <= j < state.estimates.shape[0]:
         raise ValueError(f"factor index {j} out of range")
-    _step_inplace(vals, state, codebooks, j)
+    _apply_step(state, codebooks, j, _unbind(vals, state.estimates, j))
     return state
 
 
@@ -322,10 +326,16 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(attempt,)))
         state.estimates = _random_init(codebooks, rng)
         state.restarts_used = attempt
+        # v (.) prod_i conj(est_i), kept current as the estimates change:
+        # step j unbinds by multiplying est_j back in, and divides the new
+        # est_j out again, so a sweep costs O(K * D) besides the codebooks
+        unbound = v_vals * state.estimates.prod(axis=0).conj()
         for _ in range(config.max_iters):
             prev = state.estimates.copy()
             for j in range(K):
-                _step_inplace(v_vals, state, codebooks, j)
+                residual = unbound * state.estimates[j]
+                _apply_step(state, codebooks, j, residual)
+                np.multiply(residual, state.estimates[j].conj(), out=unbound)
             state.iteration += 1
             sim = float(np.real(np.vdot(prev.ravel(), state.estimates.ravel())) / (K * D))
             if sim >= ALPHA:

@@ -197,6 +197,17 @@ class TestPhaseNormalize:
         assert out.values[0] == 1.0 + 0.0j
         assert np.allclose(out.values[1], 1j)
 
+    @given(data=strategies.data(), D=strategies.integers(0, 64))
+    def test_bits_match_masked_formula(self, data, D):
+        # the division patched only where a magnitude is zero gives the bits
+        # of the formula that masks every component
+        zero = strategies.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+        finite = strategies.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
+        vals = data.draw(arrays(np.complex128, D, elements=strategies.one_of(zero, finite)))
+        mags = np.abs(vals)
+        want = np.where(mags > 0.0, vals / np.where(mags > 0.0, mags, 1.0), 1.0 + 0.0j)
+        assert phase_normalize(vals).values.tobytes() == want.tobytes()
+
 
 class TestPhaseNoise:
     def test_infinite_kappa_is_identity(self):

@@ -18,6 +18,7 @@ from residuehd.phasor import (
     sample_base,
     similarity,
 )
+from residuehd import scene, subsetsum
 from residuehd.residue import make_residue_system
 from residuehd.resonator import (
     VERIFY_THRESHOLD,
@@ -34,6 +35,8 @@ from residuehd.resonator import (
     decode_residue_number,
     resonator_factorize,
     resonator_step,
+    _random_init,
+    _unbind,
     sub_integer_decode,
 )
 
@@ -204,6 +207,92 @@ class TestResonatorStep:
         state = ResonatorState(estimates=np.ones((3, sys357.dim), dtype=complex))
         with pytest.raises(ValueError):
             resonator_step(sys357.encode(0), state, books357, 5)
+
+
+def _k1_case():
+    sys = make_residue_system([7], 256, seed=60)
+    return encode_integer(sys.bases[0], 4).values, build_residue_codebooks(sys)
+
+
+def _k3_case():
+    sys = make_residue_system([3, 5, 7], 512, seed=61)
+    v = add_phase_noise(sys.encode(52), NoiseModel(kappa=4.0, seed=1)).values
+    return v, build_residue_codebooks(sys)
+
+
+def _subset_sum_case():
+    ssys = subsetsum.make_subsetsum_system(200, 2048, seed=62)
+    instance = subsetsum.generate_instance(12, ssys, seed=3)
+    return ssys.encode(instance.target).values, subsetsum.build_factors(instance.items, ssys)
+
+
+def _scene_case():
+    hsys = make_residue_system([3, 5, 7], 1024, seed=63)
+    vsys = make_residue_system([3, 5, 7], 1024, seed=64)
+    codec = scene.SceneCodec(hsys, vsys, 4, seed=65)
+    objects = scene.make_synthetic_objects(5, 4, (105, 105), footprint=8, coeffs_per_object=6, seed=66)
+    s = codec.encode_scene(scene.translate_maps(objects[2], 40, 17))
+    books = [codec.build_object_codebook(objects)] + codec.layouts["standard"]
+    return phase_normalize(s.values).values, books
+
+
+SWEEP_CASES = [_k1_case, _k3_case, _subset_sum_case, _scene_case]
+
+
+def _attempt_zero_init(books, seed):
+    """The initial estimates resonator_factorize draws for its first attempt."""
+    return _random_init(books, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))))
+
+
+class _StepLog:
+    """Wraps a codebook and logs (factor, residual, new estimate) for every step."""
+
+    def __init__(self, book, j, log):
+        self.book, self.j, self.log = book, j, log
+        self.n_entries, self.dim = book.n_entries, book.dim
+
+    def step(self, x):
+        coeffs, est = self.book.step(x)
+        self.log.append((self.j, x.copy(), est.copy()))
+        return coeffs, est
+
+    def row(self, i):
+        return self.book.row(i)
+
+
+class TestSweepMatchesStepwise:
+    """The sweep's running unbound product against the definitional unbinding."""
+
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_each_residual_unbinds_current_estimates(self, case):
+        v, books = case()
+        log = []
+        st = resonator_factorize(v, [_StepLog(b, j, log) for j, b in enumerate(books)],
+                                 ResonatorConfig(max_iters=3, seed=11))
+        assert len(log) == st.iteration * len(books)
+        est = _attempt_zero_init(books, 11)
+        for j, residual, new in log:
+            assert np.max(np.abs(residual - _unbind(v, est, j))) <= 1e-12
+            est[j] = new
+
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    @pytest.mark.parametrize("max_iters", [1, 2, 3])
+    def test_attempt_zero(self, case, max_iters):
+        v, books = case()
+        st = resonator_factorize(v, books, ResonatorConfig(max_iters=max_iters, seed=11))
+        ref = ResonatorState(estimates=_attempt_zero_init(books, 11))
+        for _ in range(st.iteration):
+            for j in range(len(books)):
+                resonator_step(v, ref, books, j)
+        assert 1 <= st.iteration <= max_iters
+        assert np.array_equal(st.labels, ref.labels)
+        assert st.codebook_evaluations == ref.codebook_evaluations
+        # a two-entry cleanup z(0) + c z(s) nearly cancels in a few components,
+        # and the phase of such a component turns a rounding difference of the
+        # residual into up to ~1e-9 within three sweeps; the residuals
+        # themselves agree to 1e-12 (test above)
+        tol = 1e-8 if case is _subset_sum_case else 1e-12
+        assert np.max(np.abs(st.estimates - ref.estimates)) <= tol
 
 
 class TestFactorize:
