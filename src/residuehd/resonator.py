@@ -10,6 +10,13 @@ component back onto the unit circle. The loop runs asynchronous sweeps
 (each factor once per sweep) until the cosine similarity between
 successive full states reaches the threshold ALPHA.
 
+An attempt starts from K x D phases drawn uniformly from the 2^16-th
+roots of unity, a gather from one 1 MiB table. It then forms the
+unbound product P = v (.) prod_i conj(est_i) once, and step j unbinds
+with P (.) est_j and divides the new est_j out of P again, so the
+unbinding of a sweep costs O(K * D) rather than the O(K^2 * D) of
+rebuilding every product of the other K-1 estimates.
+
 Decoding a residue-encoded integer is factorization over the
 per-modulus codebooks followed by Chinese-remainder reconstruction;
 this costs sum(m_k) inner products per sweep instead of the prod(m_k)
@@ -277,10 +284,15 @@ def resonator_step(v, state: ResonatorState, codebooks: Sequence[Codebook], j: i
     return state
 
 
+# the 2^16-th roots of unity (1 MiB): an initial phase is one of them, drawn
+# uniformly, which is a table lookup instead of a complex exp per component
+_INIT_PERIOD = 2**16
+_INIT_ROOTS = PhasorVector.exact(np.arange(_INIT_PERIOD), _INIT_PERIOD).values
+
+
 def _random_init(codebooks, rng) -> np.ndarray:
-    D = codebooks[0].dim
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(len(codebooks), D))
-    return np.exp(1j * phases)
+    shape = (len(codebooks), codebooks[0].dim)
+    return _INIT_ROOTS[rng.integers(_INIT_PERIOD, size=shape, dtype=np.uint16)]
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -326,9 +338,9 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(attempt,)))
         state.estimates = _random_init(codebooks, rng)
         state.restarts_used = attempt
-        # v (.) prod_i conj(est_i), kept current as the estimates change:
-        # step j unbinds by multiplying est_j back in, and divides the new
-        # est_j out again, so a sweep costs O(K * D) besides the codebooks
+        # P = v (.) prod_i conj(est_i), kept current step by step (see the
+        # module docstring); it is not recomputed per sweep, and its drift
+        # cannot reach a claim, which _claim_cosine checks on exact rows
         unbound = v_vals * state.estimates.prod(axis=0).conj()
         for _ in range(config.max_iters):
             prev = state.estimates.copy()

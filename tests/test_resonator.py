@@ -9,16 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies
 from hypothesis.extra.numpy import arrays
 
+from residuehd import scene, subsetsum
 from residuehd.phasor import (
     ModulusBase,
     NoiseModel,
+    PhasorVector,
     add_phase_noise,
     encode_integer,
     phase_normalize,
     sample_base,
     similarity,
 )
-from residuehd import scene, subsetsum
 from residuehd.residue import make_residue_system
 from residuehd.resonator import (
     VERIFY_THRESHOLD,
@@ -27,6 +28,8 @@ from residuehd.resonator import (
     ModularCodebook,
     ResonatorConfig,
     ResonatorState,
+    _random_init,
+    _unbind,
     bits_per_vector,
     build_residue_codebooks,
     capacity_experiment,
@@ -35,8 +38,6 @@ from residuehd.resonator import (
     decode_residue_number,
     resonator_factorize,
     resonator_step,
-    _random_init,
-    _unbind,
     sub_integer_decode,
 )
 
@@ -293,6 +294,18 @@ class TestSweepMatchesStepwise:
         # themselves agree to 1e-12 (test above)
         tol = 1e-8 if case is _subset_sum_case else 1e-12
         assert np.max(np.abs(st.estimates - ref.estimates)) <= tol
+
+
+class TestRandomInit:
+    def test_roots_of_unity_per_rng_state(self, books357):
+        a = _random_init(books357, np.random.default_rng(7))
+        assert a.shape == (3, books357[0].dim)
+        assert np.array_equal(a, _random_init(books357, np.random.default_rng(7)))
+        assert not np.array_equal(a, _random_init(books357, np.random.default_rng(8)))
+        assert np.allclose(np.abs(a), 1.0, atol=1e-15)
+        # every component is exactly the 2^16-th root of unity nearest its phase
+        k = np.rint(np.angle(a) * (2**16 / (2 * np.pi))).astype(np.int64)
+        assert np.array_equal(a, PhasorVector.exact(k, 2**16).values.reshape(a.shape))
 
 
 class TestFactorize:
