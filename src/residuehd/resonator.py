@@ -290,9 +290,12 @@ _INIT_PERIOD = 2**16
 _INIT_ROOTS = PhasorVector.exact(np.arange(_INIT_PERIOD), _INIT_PERIOD).values
 
 
-def _random_init(codebooks, rng) -> np.ndarray:
+def _random_init(codebooks, rng, out=None) -> np.ndarray:
+    """K x D initial estimates, written into out when it is given."""
     shape = (len(codebooks), codebooks[0].dim)
-    return _INIT_ROOTS[rng.integers(_INIT_PERIOD, size=shape, dtype=np.uint16)]
+    # uint16 indices are in range, so mode="wrap" never wraps them; unlike
+    # mode="raise" it writes into out directly, not through a temporary
+    return _INIT_ROOTS.take(rng.integers(_INIT_PERIOD, size=shape, dtype=np.uint16), out=out, mode="wrap")
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -305,7 +308,11 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 def _claim_cosine(v_vals: np.ndarray, codebooks, labels) -> float:
     """Cosine between the input and the product of the decoded entries."""
-    return _cosine(np.prod([cb.row(i) for cb, i in zip(codebooks, labels)], axis=0), v_vals)
+    # a running product, in np.prod's order, instead of stacking K rows
+    product = np.array(codebooks[0].row(labels[0]))
+    for cb, i in zip(codebooks[1:], labels[1:]):
+        product *= cb.row(i)
+    return _cosine(product, v_vals)
 
 
 def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfig | None = None) -> ResonatorState:
@@ -331,23 +338,31 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
     if not np.all(np.isfinite(v_vals)):
         raise ValueError("input has non-finite components")
 
+    # attempts and sweeps reuse these buffers: a fresh array per step, sweep
+    # or attempt makes the allocator fault in new pages, and copying K x D
+    # arrays is the part of a sweep whose time swings most with the host's load
     state = ResonatorState(estimates=np.empty((K, D), dtype=np.complex128))
+    prev = np.empty_like(state.estimates)
+    residual, scratch = np.empty(D, dtype=np.complex128), np.empty(D, dtype=np.complex128)
     best = None  # (claim cosine, estimates, labels)
 
     for attempt in range(1 + config.max_restarts):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(attempt,)))
-        state.estimates = _random_init(codebooks, rng)
+        _random_init(codebooks, rng, out=state.estimates)
         state.restarts_used = attempt
         # P = v (.) prod_i conj(est_i), kept current step by step (see the
         # module docstring); it is not recomputed per sweep, and its drift
         # cannot reach a claim, which _claim_cosine checks on exact rows
         unbound = v_vals * state.estimates.prod(axis=0).conj()
         for _ in range(config.max_iters):
-            prev = state.estimates.copy()
+            # the sweep writes over the buffer of the sweep before last and
+            # keeps the estimates it replaces in prev; a step reads only its
+            # own factor's estimate, so the stale rows are never read
+            prev, state.estimates = state.estimates, prev
             for j in range(K):
-                residual = unbound * state.estimates[j]
+                np.multiply(unbound, prev[j], out=residual)
                 _apply_step(state, codebooks, j, residual)
-                np.multiply(residual, state.estimates[j].conj(), out=unbound)
+                np.multiply(residual, np.conjugate(state.estimates[j], out=scratch), out=unbound)
             state.iteration += 1
             sim = float(np.real(np.vdot(prev.ravel(), state.estimates.ravel())) / (K * D))
             if sim >= ALPHA:

@@ -28,6 +28,8 @@ from residuehd.resonator import (
     ModularCodebook,
     ResonatorConfig,
     ResonatorState,
+    _claim_cosine,
+    _cosine,
     _random_init,
     _unbind,
     bits_per_vector,
@@ -307,6 +309,11 @@ class TestRandomInit:
         k = np.rint(np.angle(a) * (2**16 / (2 * np.pi))).astype(np.int64)
         assert np.array_equal(a, PhasorVector.exact(k, 2**16).values.reshape(a.shape))
 
+    def test_out_buffer_gets_the_same_draw(self, books357):
+        out = np.empty((3, books357[0].dim), dtype=np.complex128)
+        assert _random_init(books357, np.random.default_rng(7), out=out) is out
+        assert np.array_equal(out, _random_init(books357, np.random.default_rng(7)))
+
 
 class TestFactorize:
     def test_one_hot_stability(self, sys357, books357):
@@ -352,6 +359,19 @@ class TestFactorize:
             cosine = np.real(np.vdot(claim, v)) / (np.linalg.norm(claim) * np.linalg.norm(v))
             assert st.claim_cosine == pytest.approx(cosine, abs=1e-12)
             assert st.converged == (st.claim_cosine >= VERIFY_THRESHOLD)
+
+    def test_claim_cosine_bits_match_stacked_product(self, sys357, books357):
+        # dense rows are views and modular rows are fresh arrays: the running
+        # product must multiply in np.prod's order and leave the books unchanged
+        rng = np.random.default_rng(5)
+        dense = Codebook(np.exp(1j * rng.uniform(0, 2 * np.pi, (4, sys357.dim))))
+        books = [dense] + list(books357)
+        before = dense.matrix.copy()
+        v = np.exp(1j * rng.uniform(0, 2 * np.pi, sys357.dim))
+        for labels in ([0, 0, 0, 0], [3, 2, 4, 6], [1, 1, 3, 5]):
+            stacked = np.prod([cb.row(i) for cb, i in zip(books, labels)], axis=0)
+            assert _claim_cosine(v, books, labels) == _cosine(stacked, v)
+        assert np.array_equal(dense.matrix, before)
 
     def test_claim_cosine_separates_clean_from_random(self, sys357, books357):
         clean = resonator_factorize(sys357.encode(61), books357, ResonatorConfig(max_iters=30, seed=0))
