@@ -24,8 +24,16 @@ of brute-force codebook decoding. Every residue codebook is a
 ModularCodebook. Its m inner products with a residual x are the DFT of
 h = bincount(u, x, m), x summed per phase index, and since that DFT is
 invertible the cleanup (conj(Z) @ x) @ Z is the group sum m * h[u].
-A step therefore costs O(D + m log m) time and O(D) memory in place of
-the O(m * D) of dense matrix products.
+
+A step computes only what the next step reads: it writes the new
+estimate into the state's row and returns a summary (h for a
+ModularCodebook, the coefficients for a Codebook) from which
+coefficients() gives the m inner products. A sweep reads no label, so
+resonator_factorize reads each factor's label from its last summary
+once per attempt: a modular step costs O(D + m) time and O(D) memory in
+place of the O(m * D) of dense matrix products, and the length-m DFT
+runs once per factor per attempt. codebook_evaluations still counts m
+inner products per step, the paper's unit of cost, not the DFTs run.
 
 Also here: sub-integer decoding (the resonator's fixed points retain
 fractional phase information even though codebooks hold only integer
@@ -69,7 +77,11 @@ __all__ = [
 
 
 class Codebook:
-    """Reference encodings stacked as matrix rows; entry i is row i."""
+    """Reference encodings stacked as matrix rows; entry i is row i.
+
+    A step's summary is the coefficients conj(Z) @ x themselves, so a
+    step costs the O(m * D) of two matrix products.
+    """
 
     __slots__ = ("matrix",)
 
@@ -77,6 +89,8 @@ class Codebook:
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.ndim != 2:
             raise ValueError("codebook matrix must be 2-D (entries, dim)")
+        if 0 in matrix.shape:
+            raise ValueError(f"codebook needs at least one entry and dim >= 1, got shape {matrix.shape}")
         self.matrix = matrix  # (entries, dim) complex rows
 
     @classmethod
@@ -91,6 +105,10 @@ class Codebook:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
+    def coefficients(self, c: np.ndarray) -> np.ndarray:
+        """The inner products read from a step's summary, which here are the summary."""
+        return c
+
     def project(self, x: np.ndarray) -> np.ndarray:
         """conj(Z) @ x: the inner product of every entry with x.
 
@@ -99,10 +117,11 @@ class Codebook:
         """
         return (self.matrix @ x.conj()).conj()
 
-    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(conj(Z) @ x, g(c @ Z)): the coefficients and the unit estimate."""
+    def step(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the unit estimate g(c @ Z) into out; return c = conj(Z) @ x."""
         c = self.project(x)
-        return c, phase_normalize(c @ self.matrix).values
+        out[...] = phase_normalize(c @ self.matrix).values
+        return c
 
     def row(self, i: int) -> np.ndarray:
         """Entry i."""
@@ -116,18 +135,27 @@ class ModularCodebook:
     """Entries z(0) .. z(m-1) of one modulus, held as (m, phase indices u).
 
     Entry r has component j at the m-th root of unity of index
-    (u_j * r) mod m. With h = bincount(u, x, m), conj(Z) @ x = fft(h) and
-    the step's cleanup is m * h[u] (see the module docstring), in O(D) memory.
+    (u_j * r) mod m. A step's summary is h = bincount(u, x, m), from which
+    coefficients() gives conj(Z) @ x = fft(h), and its cleanup is
+    m * h[u] (see the module docstring): O(D + m) time per step and
+    O(D) memory, with the length-m DFT left to whoever reads a label.
     """
 
-    __slots__ = ("modulus", "phase_indices", "_roots")
+    __slots__ = ("modulus", "phase_indices", "_roots", "_interleaved")
 
     def __init__(self, modulus: int, phase_indices):
         m = int(modulus)
         if m < 1:
             raise ValueError(f"modulus must be >= 1, got {m}")
+        u = np.asarray(phase_indices, dtype=np.int64)
+        if u.ndim != 1 or u.shape[0] == 0:
+            raise ValueError(f"phase indices must be 1-D with dim >= 1, got shape {u.shape}")
         self.modulus = m
-        self.phase_indices = np.asarray(phase_indices, dtype=np.int64) % m
+        self.phase_indices = u % m
+        # x viewed as float64 pairs puts Re x_j at 2j and Im x_j at 2j + 1, so
+        # bins 2u and 2u + 1 sum the real and imaginary parts in one bincount,
+        # each bin in the same order as a bincount per part
+        self._interleaved = np.stack([2 * self.phase_indices, 2 * self.phase_indices + 1], axis=1).ravel()
         # rows are looked up in the m roots of unity instead of one complex
         # exp per component; the lookup gives the same bits as encode_integer.
         # The table is built on the first lookup, so a book costs O(D) to build
@@ -151,16 +179,26 @@ class ModularCodebook:
         return self.phase_indices.shape[0]
 
     def _group_sum(self, x: np.ndarray) -> np.ndarray:
-        u, m = self.phase_indices, self.modulus
-        return np.bincount(u, x.real, m) + 1j * np.bincount(u, x.imag, m)
+        """h = bincount(u, x, m): the components of x summed per phase index."""
+        # a real or strided x would be misread through the float64 view
+        x = np.ascontiguousarray(x, dtype=np.complex128)
+        return np.bincount(self._interleaved, x.view(np.float64), 2 * self.modulus).view(np.complex128)
+
+    def coefficients(self, h: np.ndarray) -> np.ndarray:
+        """conj(Z) @ x from a step's summary h: its length-m DFT."""
+        return np.fft.fft(h)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return np.fft.fft(self._group_sum(x))
+        return self.coefficients(self._group_sum(x))
 
-    def step(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the unit estimate g(m * h)[u] into out; return h."""
         h = self._group_sum(x)
-        # g(m * h)[u] is g(h)[u]: g maps elementwise and the factor m moves no phase
-        return np.fft.fft(h), phase_normalize(h).values[self.phase_indices]
+        # g(m * h)[u] is g(h)[u]: g maps elementwise and the factor m moves no
+        # phase. u is in [0, m), so mode="wrap" never wraps; unlike mode="raise"
+        # it writes into out directly, not through a temporary
+        phase_normalize(h).values.take(self.phase_indices, out=out, mode="wrap")
+        return h
 
     def row(self, i: int) -> np.ndarray:
         m = self.modulus
@@ -213,11 +251,12 @@ class ResonatorState:
     """Per-factor estimates plus convergence and cost bookkeeping.
 
     labels holds the decoded entry of each factor as its codebook row
-    index. converged is True when an attempt's decoded labels reproduce
-    the input, so they are the answer for any input that is a clean
-    product of codebook entries. claim_cosine is that check's score for
-    the returned attempt: the cosine between the input and the product
-    of its decoded entries.
+    index, read after every step by resonator_step and after an
+    attempt's last sweep by resonator_factorize. converged is True when
+    an attempt's decoded labels reproduce the input, so they are the
+    answer for any input that is a clean product of codebook entries.
+    claim_cosine is that check's score for the returned attempt: the
+    cosine between the input and the product of its decoded entries.
     """
 
     estimates: np.ndarray  # (K, D) complex, unit magnitude
@@ -263,14 +302,19 @@ def _unbind(v_vals, estimates: np.ndarray, j: int) -> np.ndarray:
     return residual
 
 
-def _apply_step(state: ResonatorState, codebooks, j: int, residual: np.ndarray) -> None:
-    """Replace factor j's estimate with the cleanup of its residual."""
-    coeffs, state.estimates[j] = codebooks[j].step(residual)
+def _apply_step(state: ResonatorState, codebooks, j: int, residual: np.ndarray) -> np.ndarray:
+    """Write the cleanup of factor j's residual into its estimate; return the step's summary."""
+    summary = codebooks[j].step(residual, state.estimates[j])
     state.codebook_evaluations += codebooks[j].n_entries
+    return summary
+
+
+def _label(book, summary: np.ndarray) -> int:
+    """The entry a step's summary decodes to."""
     # factor estimates settle only up to a global phase per factor (the
     # rotations cancel in the composed product), so the per-factor label
     # uses the gauge-invariant coefficient magnitude
-    state.labels[j] = int(np.argmax(np.abs(coeffs)))
+    return int(np.argmax(np.abs(book.coefficients(summary))))
 
 
 def resonator_step(v, state: ResonatorState, codebooks: Sequence[Codebook], j: int) -> ResonatorState:
@@ -280,7 +324,8 @@ def resonator_step(v, state: ResonatorState, codebooks: Sequence[Codebook], j: i
         raise ValueError("input dimension does not match state")
     if not 0 <= j < state.estimates.shape[0]:
         raise ValueError(f"factor index {j} out of range")
-    _apply_step(state, codebooks, j, _unbind(vals, state.estimates, j))
+    summary = _apply_step(state, codebooks, j, _unbind(vals, state.estimates, j))
+    state.labels[j] = _label(codebooks[j], summary)
     return state
 
 
@@ -344,6 +389,7 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
     state = ResonatorState(estimates=np.empty((K, D), dtype=np.complex128))
     prev = np.empty_like(state.estimates)
     residual, scratch = np.empty(D, dtype=np.complex128), np.empty(D, dtype=np.complex128)
+    summaries = [None] * K  # each factor's last step summary, read once per attempt
     best = None  # (claim cosine, estimates, labels)
 
     for attempt in range(1 + config.max_restarts):
@@ -361,12 +407,14 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
             prev, state.estimates = state.estimates, prev
             for j in range(K):
                 np.multiply(unbound, prev[j], out=residual)
-                _apply_step(state, codebooks, j, residual)
+                summaries[j] = _apply_step(state, codebooks, j, residual)
                 np.multiply(residual, np.conjugate(state.estimates[j], out=scratch), out=unbound)
             state.iteration += 1
             sim = float(np.real(np.vdot(prev.ravel(), state.estimates.ravel())) / (K * D))
             if sim >= ALPHA:
                 break
+        # no step reads a label, so only the attempt's last sweep is decoded
+        state.labels[:] = [_label(cb, s) for cb, s in zip(codebooks, summaries)]
         state.claim_cosine = _claim_cosine(v_vals, codebooks, state.labels)
         if state.claim_cosine >= VERIFY_THRESHOLD:
             state.converged = True

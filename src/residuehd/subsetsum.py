@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .phasor import PhasorVector
 from .residue import ResidueSystem, _child_seeds, make_residue_system
 from .resonator import Codebook, ResonatorConfig, resonator_factorize
 
@@ -144,9 +145,19 @@ def generate_instance(n: int, sys: ResidueSystem, seed: int) -> SubsetSumInstanc
 
 
 def build_factors(S: Sequence[int], sys: ResidueSystem) -> list[Codebook]:
-    """One two-entry codebook per item: row 0 is z(0), row 1 is z(S_k)."""
-    zero = sys.encode(0)
-    return [Codebook.from_vectors([zero, sys.encode(int(s))]) for s in S]
+    """One two-entry codebook per item: row 0 is z(0), row 1 is z(S_k).
+
+    All rows come from one exact encoding: z(s) has phase indices
+    (w * s) mod M with w those of z(1), the same indices and so the same
+    bits as sys.encode(s). With s reduced mod M, w * s < M^2 fits in
+    int64 by the exact period limit. z(0) is 1 + 0j in every component.
+    """
+    M = sys.range_M
+    w = sys.encode(1).indices
+    s = np.array([int(x) % M for x in S], dtype=np.int64)
+    rows = np.ones((s.shape[0], 2, sys.dim), dtype=np.complex128)
+    rows[:, 1] = PhasorVector.exact((w * s[:, None]) % M, M).values
+    return [Codebook(r) for r in rows]
 
 
 def solve(

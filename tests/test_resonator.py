@@ -89,7 +89,8 @@ class TestCodebooks:
         dense = np.stack([encode_integer(base, r).values for r in range(m)])
         assert np.array_equal(cb.matrix, dense)  # built from row(r)
         x = rng.normal(size=D) if real_x else rng.normal(size=D) + 1j * rng.normal(size=D)
-        want_c, want_est = Codebook(dense).step(x)
+        dense_book, want_est = Codebook(dense), np.empty(D, dtype=np.complex128)
+        want_c = dense_book.coefficients(dense_book.step(x, want_est))
         assert np.array_equal(want_c, dense.conj() @ x)
         cleaned = want_c @ dense
         assert np.array_equal(want_est, phase_normalize(cleaned).values)
@@ -97,13 +98,50 @@ class TestCodebooks:
         def rel_err(got, want):
             return np.linalg.norm(got - want) / np.linalg.norm(want)
 
-        c, est = cb.step(x)
+        est = np.empty(D, dtype=np.complex128)
+        c = cb.coefficients(cb.step(x, est))
         assert rel_err(c, want_c) <= 1e-12
         assert rel_err(cb.project(x), want_c) <= 1e-12
         assert np.allclose(np.abs(est), 1.0, atol=1e-15)
         # each phase weighted by its magnitude: a component that cleans up to
         # nearly zero has an ill-conditioned phase in both computations
         assert rel_err(est * np.abs(cleaned), cleaned) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=strategies.integers(1, 400), D=strategies.integers(1, 512),
+           kind=strategies.sampled_from(["real", "complex", "strided"]), seed=strategies.integers(0, 2**16))
+    def test_group_sum_step_bits(self, m, D, kind, seed):
+        # the interleaved group sum against one bincount per part, bit for bit
+        rng = np.random.default_rng(seed)
+        cb = ModularCodebook(m, rng.integers(0, m, D))
+        u = cb.phase_indices
+        if kind == "real":
+            x = rng.normal(size=D)
+        else:
+            z = rng.normal(size=2 * D) + 1j * rng.normal(size=2 * D)
+            x = z[:D] if kind == "complex" else z[::2]
+        out = np.empty(D, dtype=np.complex128)
+        h = cb.step(x, out)
+        want_h = np.bincount(u, x.real, m) + 1j * np.bincount(u, x.imag, m)
+        assert h.tobytes() == want_h.tobytes()
+        assert cb.coefficients(h).tobytes() == cb.project(x).tobytes()
+        assert out.tobytes() == phase_normalize(h).values[u].tobytes()
+
+    def test_modular_codebook_rejects_non_1d_indices(self):
+        with pytest.raises(ValueError, match="1-D"):
+            ModularCodebook(5, np.zeros((2, 3), dtype=np.int64))
+
+    def test_modular_codebook_rejects_zero_dim(self):
+        with pytest.raises(ValueError, match="dim >= 1"):
+            ModularCodebook(5, np.zeros(0, dtype=np.int64))
+
+    def test_codebook_rejects_no_entries(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            Codebook(np.zeros((0, 8), dtype=complex))
+
+    def test_codebook_rejects_zero_dim(self):
+        with pytest.raises(ValueError, match="dim >= 1"):
+            Codebook(np.zeros((3, 0), dtype=complex))
 
     def test_large_modular_decode_keeps_no_dense_rows(self):
         # at (499, 503), D=8192 the dense codebooks would take 2 x 64 MB
@@ -254,10 +292,13 @@ class _StepLog:
         self.book, self.j, self.log = book, j, log
         self.n_entries, self.dim = book.n_entries, book.dim
 
-    def step(self, x):
-        coeffs, est = self.book.step(x)
-        self.log.append((self.j, x.copy(), est.copy()))
-        return coeffs, est
+    def step(self, x, out):
+        summary = self.book.step(x, out)
+        self.log.append((self.j, x.copy(), out.copy()))
+        return summary
+
+    def coefficients(self, summary):
+        return self.book.coefficients(summary)
 
     def row(self, i):
         return self.book.row(i)

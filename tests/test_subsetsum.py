@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies
+from hypothesis import given, settings, strategies
 
 from residuehd.resonator import ResonatorConfig
 from residuehd.subsetsum import (
@@ -111,6 +111,17 @@ class TestFactors:
             entry = sys200.encode(S[k]) if k in chosen else sys200.encode(0)
             v = entry if v is None else hadamard(v, entry)
         assert v == sys200.encode(sum(S[k] for k in chosen))
+
+    @settings(max_examples=30, deadline=None)
+    @given(items=strategies.lists(strategies.integers(1, 10**6), min_size=1, max_size=12),
+           D=strategies.integers(1, 256), seed=strategies.integers(0, 2**16))
+    def test_rows_are_bit_equal_to_encodings(self, items, D, seed):
+        sys = make_subsetsum_system(200, D, seed)
+        books = build_factors(items, sys)
+        assert len(books) == len(items)
+        for s, book in zip(items, books):
+            assert book.matrix[0].tobytes() == sys.encode(0).values.tobytes()
+            assert book.matrix[1].tobytes() == sys.encode(s).values.tobytes()
 
 
 class TestSolve:
