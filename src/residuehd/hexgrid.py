@@ -77,13 +77,11 @@ def sample_hex_base(m: int, D: int, seed: int) -> tuple[ModulusBase, ModulusBase
     The first two direction bases are i.i.d. uniform; the third is the
     negated sum, which leaves every marginal uniform over Z_m.
     """
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
     s1, s2 = _child_seeds(seed, (), 2)
     b1 = sample_base(m, D, s1)
     b2 = sample_base(m, D, s2)
     u3 = (-(b1.phase_indices + b2.phase_indices)) % m
-    b3 = ModulusBase(modulus=m, dim=D, phase_indices=u3, seed=int(seed), nonzero_only=False)
+    b3 = ModulusBase(modulus=m, phase_indices=u3, seed=int(seed))
     return b1, b2, b3
 
 
@@ -113,7 +111,7 @@ class HexSystem:
             moduli = (moduli,)
         moduli = tuple(int(m) for m in moduli)
         triplets = [sample_hex_base(m, D, _child_seeds(seed, (k,))[0]) for k, m in enumerate(moduli)]
-        self.directions = tuple(ResidueSystem(moduli, bases) for bases in zip(*triplets))
+        self.directions = tuple(ResidueSystem(bases) for bases in zip(*triplets))
         self.moduli = moduli
         self.dim = D
         # modulus-major: the three direction books of modulus k sit at 3k, 3k+1, 3k+2

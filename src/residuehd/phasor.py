@@ -140,11 +140,11 @@ class PhasorVector:
 class ModulusBase:
     """Random base vector for one modulus: D phase indices u_j in Z_m.
 
-    The modulus is an exact period, so it may not exceed _MAX_PERIOD.
+    The indices are a non-empty 1-D array and D is their length. The
+    modulus is an exact period, so it may not exceed _MAX_PERIOD.
     """
 
     modulus: int
-    dim: int
     phase_indices: np.ndarray
     seed: int
     nonzero_only: bool = False
@@ -153,11 +153,17 @@ class ModulusBase:
         if self.modulus > _MAX_PERIOD:
             raise ValueError(f"modulus {self.modulus} exceeds the exact period limit {_MAX_PERIOD}")
         idx = np.asarray(self.phase_indices, dtype=np.int64)
+        if idx.ndim != 1 or idx.size == 0:
+            raise ValueError(f"phase indices must be a non-empty 1-D array, got shape {idx.shape}")
         if np.any(idx < 0) or np.any(idx >= self.modulus):
             raise ValueError("phase indices must lie in [0, modulus)")
         if self.nonzero_only and np.any(idx == 0):
             raise ValueError("nonzero_only base contains a zero phase index")
         object.__setattr__(self, "phase_indices", idx)
+
+    @property
+    def dim(self) -> int:
+        return self.phase_indices.shape[0]
 
 
 @dataclass(frozen=True)
@@ -175,18 +181,16 @@ class NoiseModel:
 def sample_base(m: int, D: int, seed: int, nonzero_only: bool = False) -> ModulusBase:
     """Draw D i.i.d. phase indices uniform over Z_m (or Z_m without 0).
 
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. Raises ValueError for m < 2 or D < 1.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    if D < 1:
-        raise ValueError(f"dimension must be >= 1, got {D}")
     rng = np.random.default_rng(seed)
     if nonzero_only:
         idx = rng.integers(1, m, size=D, dtype=np.int64)
     else:
         idx = rng.integers(0, m, size=D, dtype=np.int64)
-    return ModulusBase(modulus=m, dim=D, phase_indices=idx, seed=int(seed), nonzero_only=nonzero_only)
+    return ModulusBase(modulus=m, phase_indices=idx, seed=int(seed), nonzero_only=nonzero_only)
 
 
 def identity_vector(D: int) -> PhasorVector:
@@ -311,17 +315,25 @@ def base_to_dict(base: ModulusBase) -> dict:
 
 
 def base_from_dict(d: dict) -> ModulusBase:
-    if d.get("format") != _BASE_FORMAT:
-        raise ValueError(f"not a modulus-base record: {d.get('format')!r}")
+    """Rebuild a base from its record; a malformed record raises ValueError."""
+    if not isinstance(d, dict) or d.get("format") != _BASE_FORMAT:
+        raise ValueError("not a modulus-base record")
     if d.get("version") != _BASE_VERSION:
         raise ValueError(f"unsupported modulus-base version: {d.get('version')!r}")
-    return ModulusBase(
-        modulus=int(d["modulus"]),
-        dim=int(d["dim"]),
-        phase_indices=np.asarray(d["phase_indices"], dtype=np.int64),
-        seed=int(d["seed"]),
-        nonzero_only=bool(d["nonzero_only"]),
-    )
+    try:
+        modulus, dim, seed, nonzero_only, indices = (
+            d[k] for k in ("modulus", "dim", "seed", "nonzero_only", "phase_indices")
+        )
+    except KeyError as exc:
+        raise ValueError(f"modulus-base record lacks {exc}") from None
+    if not isinstance(indices, list) or not all(type(v) is int for v in (modulus, dim, seed, *indices)):
+        raise ValueError("modulus, dim, seed and phase indices must be integers")
+    if type(nonzero_only) is not bool:
+        raise ValueError(f"nonzero_only must be a bool, got {nonzero_only!r}")
+    base = ModulusBase(modulus, np.array(indices, dtype=np.int64), seed, nonzero_only)
+    if base.dim != dim:
+        raise ValueError(f"record dim {dim} disagrees with its {base.dim} phase indices")
+    return base
 
 
 def save_base(base: ModulusBase, path) -> None:

@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .phasor import (
     ModulusBase,
     PhasorVector,
+    base_from_dict,
+    base_to_dict,
     conjugate,
     encode_integer,
     encode_rational,
@@ -59,13 +61,10 @@ __all__ = [
 
 
 def _check_pairwise_coprime(moduli: Sequence[int]) -> None:
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            g = math.gcd(moduli[i], moduli[j])
-            if g != 1:
-                raise ValueError(
-                    f"moduli {moduli[i]} and {moduli[j]} are not co-prime (gcd {g})"
-                )
+    for i, a in enumerate(moduli):
+        for b in moduli[i + 1 :]:
+            if math.gcd(a, b) != 1:
+                raise ValueError(f"moduli {a} and {b} are not co-prime (gcd {math.gcd(a, b)})")
 
 
 def _is_prime(n: int) -> bool:
@@ -82,31 +81,23 @@ def _is_prime(n: int) -> bool:
 
 
 class ResidueSystem:
-    """Pairwise co-prime moduli with one random base vector per modulus."""
+    """A residue code: one random base vector per pairwise co-prime modulus.
 
-    __slots__ = ("moduli", "dim", "nonzero_only", "bases")
+    The bases are the whole state: the moduli (as ints) and D are read from them.
+    """
 
-    def __init__(self, moduli, bases, nonzero_only=False):
-        moduli = tuple(int(m) for m in moduli)
-        if len(moduli) < 1:
-            raise ValueError("need at least one modulus")
-        for m in moduli:
-            if m < 2:
-                raise ValueError(f"modulus must be >= 2, got {m}")
-        _check_pairwise_coprime(moduli)
-        bases = tuple(bases)
-        if len(bases) != len(moduli):
-            raise ValueError("one base per modulus required")
-        dims = {b.dim for b in bases}
+    __slots__ = ("moduli", "dim", "bases")
+
+    def __init__(self, bases: Iterable[ModulusBase]):
+        self.bases = tuple(bases)
+        dims = {b.dim for b in self.bases}
         if len(dims) != 1:
-            raise ValueError(f"bases disagree on dimension: {sorted(dims)}")
-        for m, b in zip(moduli, bases):
-            if b.modulus != m:
-                raise ValueError(f"base modulus {b.modulus} does not match {m}")
-        self.moduli = moduli
-        self.bases = bases
-        self.dim = bases[0].dim
-        self.nonzero_only = nonzero_only
+            raise ValueError(f"need one or more bases of one dimension, got dimensions {sorted(dims)}")
+        self.dim = dims.pop()
+        self.moduli = tuple(int(b.modulus) for b in self.bases)
+        if min(self.moduli) < 2:
+            raise ValueError(f"modulus must be >= 2, got {min(self.moduli)}")
+        _check_pairwise_coprime(self.moduli)
 
     @property
     def range_M(self) -> int:
@@ -160,11 +151,10 @@ def make_residue_system(moduli, D: int, seed: int, nonzero_only: bool = False) -
     Child seeds are derived deterministically, so (moduli, D, seed,
     nonzero_only) fully reproduces the system.
     """
-    moduli = tuple(int(m) for m in moduli)
-    bases = []
-    for k, m in enumerate(moduli):
-        bases.append(sample_base(m, D, _child_seeds(seed, (k,))[0], nonzero_only=nonzero_only))
-    return ResidueSystem(moduli, bases, nonzero_only=nonzero_only)
+    return ResidueSystem(
+        sample_base(int(m), D, _child_seeds(seed, (k,))[0], nonzero_only=nonzero_only)
+        for k, m in enumerate(moduli)
+    )
 
 
 def _child_seeds(seed: int, key: tuple[int, ...], n: int = 1) -> list[int]:
@@ -222,11 +212,9 @@ def multiply(sys: ResidueSystem, a, b) -> PhasorVector:
     composed vector with period M, which :meth:`ResidueSystem.split`
     turns into that list. A dense operand raises ValueError: decode it
     first with `decode_residue_number` and pass `encode_factors` of the
-    result. All moduli must be prime and bases sampled with nonzero_only.
+    result. All moduli must be prime and bases sampled with nonzero_only;
+    :func:`anti_base` raises ValueError otherwise.
     """
-    for m in sys.moduli:
-        if not _is_prime(m):
-            raise ValueError(f"multiplicative binding requires prime moduli, got {m}")
     a, b = (sys.split(v) if isinstance(v, PhasorVector) else list(v) for v in (a, b))
     if len(a) != len(sys.moduli) or len(b) != len(sys.moduli):
         raise ValueError("need one factor vector per modulus")
@@ -302,32 +290,23 @@ def landau_g(b: int) -> int:
 # --- serialization ------------------------------------------------------
 
 _SYSTEM_FORMAT = "residuehd/residue-system"
-_SYSTEM_VERSION = 1
+_SYSTEM_VERSION = 2
 
 
 def system_to_dict(sys: ResidueSystem) -> dict:
-    return {
-        "format": _SYSTEM_FORMAT,
-        "version": _SYSTEM_VERSION,
-        "moduli": list(sys.moduli),
-        "dim": sys.dim,
-        "seeds": [b.seed for b in sys.bases],
-        "nonzero_only": sys.nonzero_only,
-    }
+    """The system's record (version 2): its bases' records, from which the moduli and D follow."""
+    return {"format": _SYSTEM_FORMAT, "version": _SYSTEM_VERSION, "bases": [base_to_dict(b) for b in sys.bases]}
 
 
 def system_from_dict(d: dict) -> ResidueSystem:
+    """Rebuild a system from its record; a version-1 record (seeds, lossy) raises ValueError."""
     if d.get("format") != _SYSTEM_FORMAT:
         raise ValueError(f"not a residue-system record: {d.get('format')!r}")
     if d.get("version") != _SYSTEM_VERSION:
         raise ValueError(f"unsupported residue-system version: {d.get('version')!r}")
-    moduli = [int(m) for m in d["moduli"]]
-    nonzero = bool(d["nonzero_only"])
-    bases = [
-        sample_base(m, int(d["dim"]), int(s), nonzero_only=nonzero)
-        for m, s in zip(moduli, d["seeds"])
-    ]
-    return ResidueSystem(moduli, bases, nonzero_only=nonzero)
+    if not isinstance(d.get("bases"), list):
+        raise ValueError("residue-system record needs a list of base records")
+    return ResidueSystem(base_from_dict(b) for b in d["bases"])
 
 
 def save_system(sys: ResidueSystem, path) -> None:

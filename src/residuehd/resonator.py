@@ -426,6 +426,14 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
     return state
 
 
+def _residue_books(sys: ResidueSystem, codebooks: Sequence[Codebook] | None) -> Sequence[Codebook]:
+    """sys's integer codebooks, built unless passed in; ValueError unless their sizes are sys's moduli."""
+    books = build_residue_codebooks(sys) if codebooks is None else codebooks
+    if [cb.n_entries for cb in books] != list(sys.moduli):
+        raise ValueError(f"codebook sizes {[cb.n_entries for cb in books]} do not match moduli {list(sys.moduli)}")
+    return books
+
+
 def decode_residue_number(
     sys: ResidueSystem,
     v,
@@ -435,9 +443,10 @@ def decode_residue_number(
     """Factorize a composed encoding and CRT-reconstruct x in [0, M).
 
     Returns (x, state); inspect state.converged before trusting x.
-    Pass prebuilt codebooks to amortize their construction over trials.
+    Prebuilt codebooks amortize their construction over trials; their
+    sizes must be sys's moduli, in order, or ValueError is raised.
     """
-    books = codebooks if codebooks is not None else build_residue_codebooks(sys)
+    books = _residue_books(sys, codebooks)
     state = resonator_factorize(v, books, config)
     return crt_reconstruct(state.labels, sys.moduli), state
 
@@ -465,7 +474,7 @@ def sub_integer_decode(
     """
     if r < 1:
         raise ValueError(f"partitions must be >= 1, got {r}")
-    books = codebooks if codebooks is not None else build_residue_codebooks(sys)
+    books = _residue_books(sys, codebooks)
     state = resonator_factorize(v, books, config)
     v_vals = v.values if isinstance(v, PhasorVector) else np.asarray(v)
     M = sys.range_M

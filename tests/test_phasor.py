@@ -61,9 +61,14 @@ class TestSampleBase:
 
     def test_base_invariants(self):
         with pytest.raises(ValueError):
-            ModulusBase(modulus=5, dim=3, phase_indices=np.array([0, 2, 5]), seed=0)
+            ModulusBase(modulus=5, phase_indices=np.array([0, 2, 5]), seed=0)
         with pytest.raises(ValueError):
-            ModulusBase(modulus=5, dim=3, phase_indices=np.array([0, 2, 3]), seed=0, nonzero_only=True)
+            ModulusBase(modulus=5, phase_indices=np.array([0, 2, 3]), seed=0, nonzero_only=True)
+
+    @pytest.mark.parametrize("indices", [np.array([[1, 2], [3, 4]]), np.array([], dtype=np.int64)])
+    def test_base_rejects_non_1d_or_empty_indices(self, indices):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            ModulusBase(modulus=5, phase_indices=indices, seed=0)
 
     def test_modulus_beyond_exact_limit_rejected(self):
         # u * x would wrap int64 in encode_integer at this modulus
@@ -71,7 +76,7 @@ class TestSampleBase:
         with pytest.raises(ValueError, match="exact period limit"):
             sample_base(m, 4, seed=0)
         with pytest.raises(ValueError, match="exact period limit"):
-            ModulusBase(modulus=m, dim=1, phase_indices=np.array([m - 2]), seed=0)
+            ModulusBase(modulus=m, phase_indices=np.array([m - 2]), seed=0)
 
 
 class TestEncodeInteger:
@@ -109,7 +114,7 @@ class TestEncodeRational:
         assert np.allclose(dense.values, exact.values, atol=1e-12)
 
     def test_half_step_mod2(self):
-        base = ModulusBase(modulus=2, dim=4, phase_indices=np.ones(4, dtype=np.int64), seed=0)
+        base = ModulusBase(modulus=2, phase_indices=np.ones(4, dtype=np.int64), seed=0)
         v = encode_rational(base, 0.5)
         assert np.allclose(v.values, 1j, atol=1e-12)
 
@@ -267,7 +272,7 @@ class TestSerialization:
            seed=strategies.integers(0, 2**63 - 1), nonzero_only=strategies.booleans())
     def test_dict_round_trip(self, data, m, D, seed, nonzero_only):
         indices = data.draw(arrays(np.int64, D, elements=strategies.integers(int(nonzero_only), m - 1)))
-        base = ModulusBase(modulus=m, dim=D, phase_indices=indices, seed=seed, nonzero_only=nonzero_only)
+        base = ModulusBase(modulus=m, phase_indices=indices, seed=seed, nonzero_only=nonzero_only)
         loaded = base_from_dict(json.loads(json.dumps(base_to_dict(base))))
         assert (loaded.modulus, loaded.dim, loaded.seed, loaded.nonzero_only) == (m, D, seed, nonzero_only)
         assert np.array_equal(loaded.phase_indices, base.phase_indices)
@@ -281,6 +286,36 @@ class TestSerialization:
         bad = dict(d, version=99)
         with pytest.raises(ValueError):
             base_from_dict(bad)
+
+    @pytest.mark.parametrize("key", ["modulus", "dim", "seed", "nonzero_only", "phase_indices"])
+    def test_missing_key_rejected(self, key):
+        d = base_to_dict(sample_base(5, 4, seed=21))
+        del d[key]
+        with pytest.raises(ValueError, match=key):
+            base_from_dict(d)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"modulus": 5.9}, "integers"),
+        ({"seed": 5.9}, "integers"),
+        ({"dim": 4.0}, "integers"),
+        ({"phase_indices": [1.7, 2.2, 3.9, 0.5]}, "integers"),
+        ({"phase_indices": ["1", "2", "3", "0"]}, "integers"),
+        ({"nonzero_only": 1}, "bool"),
+        ({"nonzero_only": "false"}, "bool"),
+        ({"dim": 100}, "disagrees"),
+        ({"dim": 3}, "disagrees"),
+    ])
+    def test_malformed_record_rejected(self, change, match):
+        d = dict(base_to_dict(sample_base(5, 4, seed=21)), **change)
+        with pytest.raises(ValueError, match=match):
+            base_from_dict(d)
+
+    def test_record_bytes_unchanged(self):
+        d = base_to_dict(ModulusBase(modulus=5, phase_indices=np.array([4, 0, 2]), seed=9))
+        assert json.dumps(d) == (
+            '{"format": "residuehd/modulus-base", "version": 1, "modulus": 5, "dim": 3, '
+            '"seed": 9, "nonzero_only": false, "phase_indices": [4, 0, 2]}'
+        )
 
 
 class TestDenseFormValidation:

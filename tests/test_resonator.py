@@ -83,7 +83,7 @@ class TestCodebooks:
     def test_modular_codebook_equals_dense(self, m, D, real_x, seed):
         # the group-sum step against the matrix products on the dense rows
         rng = np.random.default_rng(seed)
-        base = ModulusBase(m, D, rng.integers(0, m, D), seed)
+        base = ModulusBase(m, rng.integers(0, m, D), seed)
         cb = ModularCodebook(m, base.phase_indices)
         assert (cb.n_entries, cb.dim) == (m, D)
         dense = np.stack([encode_integer(base, r).values for r in range(m)])
@@ -484,6 +484,26 @@ class TestDecodeResidueNumber:
             if st.converged and got != x:
                 wrong.append((x, 100 + i, got))
         assert wrong == []
+
+
+class TestForeignCodebooks:
+    """Codebooks passed in must be books of the decoded system's moduli."""
+
+    @pytest.fixture(scope="class")
+    def a_b(self):
+        return make_residue_system([3, 5, 7], 256, seed=0), make_residue_system([7, 11, 13], 256, seed=1)
+
+    def test_decode_residue_number_rejects(self, a_b):
+        a, b = a_b
+        with pytest.raises(ValueError, match="do not match moduli"):
+            decode_residue_number(b, a.encode(20).to_dense(), ResonatorConfig(seed=1),
+                                  codebooks=build_residue_codebooks(a))
+
+    def test_sub_integer_decode_rejects(self, a_b):
+        a, b = a_b
+        with pytest.raises(ValueError, match="do not match moduli"):
+            sub_integer_decode(b, a.encode(20).to_dense(), 2, ResonatorConfig(seed=1),
+                               codebooks=build_residue_codebooks(a))
 
 
 class TestSubIntegerDecode:
