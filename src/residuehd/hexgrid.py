@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasor import ModulusBase, PhasorVector, hadamard, sample_base, similarity
+from .phasor import ModulusBase, PhasorVector, centered_indices, hadamard, sample_base, similarity
 from .residue import ResidueSystem, _child_seeds, crt_reconstruct
 from .resonator import ResonatorConfig, build_residue_codebooks, resonator_factorize
 
@@ -81,8 +81,7 @@ def sample_hex_base(m: int, D: int, seed: int) -> tuple[ModulusBase, ModulusBase
     b1 = sample_base(m, D, s1)
     b2 = sample_base(m, D, s2)
     u3 = (-(b1.phase_indices + b2.phase_indices)) % m
-    b3 = ModulusBase(modulus=m, phase_indices=u3, seed=int(seed))
-    return b1, b2, b3
+    return b1, b2, ModulusBase(m, u3)
 
 
 def round_to_hex_coord(y) -> np.ndarray:
@@ -101,22 +100,27 @@ class HexSystem:
 
     Direction d is a ResidueSystem over the moduli holding base d of every
     triplet, so a 3-coordinate encodes as the Cartesian product of the
-    three directions.
+    three directions; the moduli and D are read from direction 0.
     """
 
-    __slots__ = ("moduli", "dim", "directions", "_books")
+    __slots__ = ("directions", "_books")
 
     def __init__(self, moduli, D: int, seed: int):
         if isinstance(moduli, int):
             moduli = (moduli,)
-        moduli = tuple(int(m) for m in moduli)
         triplets = [sample_hex_base(m, D, _child_seeds(seed, (k,))[0]) for k, m in enumerate(moduli)]
-        self.directions = tuple(ResidueSystem(bases) for bases in zip(*triplets))
-        self.moduli = moduli
-        self.dim = D
+        self.directions = tuple(ResidueSystem(t[d] for t in triplets) for d in range(3))
         # modulus-major: the three direction books of modulus k sit at 3k, 3k+1, 3k+2
         per_direction = [build_residue_codebooks(d) for d in self.directions]
         self._books = [book for books in zip(*per_direction) for book in books]
+
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        return self.directions[0].moduli
+
+    @property
+    def dim(self) -> int:
+        return self.directions[0].dim
 
     @property
     def range_M(self) -> int:
@@ -160,17 +164,11 @@ class HexSystem:
         as in rational encoding, so the map interpolates the hexagonal
         kernel between lattice points.
         """
-        from .phasor import centered_indices
-
         y = hex_project(xy)
         phase = np.zeros(self.dim)
-        for m, (b1, b2, b3) in zip(self.moduli, zip(*(d.bases for d in self.directions))):
-            w = (
-                centered_indices(b1) * y[0]
-                + centered_indices(b2) * y[1]
-                + centered_indices(b3) * y[2]
-            )
-            phase += (2.0 * np.pi / m) * w
+        for b1, b2, b3 in zip(*(d.bases for d in self.directions)):
+            w = centered_indices(b1) * y[0] + centered_indices(b2) * y[1] + centered_indices(b3) * y[2]
+            phase += (2.0 * np.pi / b1.modulus) * w
         return PhasorVector.dense(np.exp(1j * phase), validate=False)
 
     def __repr__(self):

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -140,26 +142,28 @@ class PhasorVector:
 class ModulusBase:
     """Random base vector for one modulus: D phase indices u_j in Z_m.
 
-    The indices are a non-empty 1-D array and D is their length. The
-    modulus is an exact period, so it may not exceed _MAX_PERIOD.
+    A base is its modulus and indices, and this is its only check: an integer
+    modulus of at most _MAX_PERIOD and a non-empty 1-D integer array of indices
+    in [0, modulus), whose length is D. Anything else raises ValueError.
     """
 
     modulus: int
     phase_indices: np.ndarray
-    seed: int
-    nonzero_only: bool = False
 
     def __post_init__(self):
-        if self.modulus > _MAX_PERIOD:
-            raise ValueError(f"modulus {self.modulus} exceeds the exact period limit {_MAX_PERIOD}")
-        idx = np.asarray(self.phase_indices, dtype=np.int64)
+        try:
+            m = operator.index(self.modulus)
+        except TypeError:
+            raise ValueError(f"modulus must be an integer, got {self.modulus!r}") from None
+        if m > _MAX_PERIOD:
+            raise ValueError(f"modulus {m} exceeds the exact period limit {_MAX_PERIOD}")
+        idx = np.asarray(self.phase_indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError(f"phase indices must be a non-empty 1-D array, got shape {idx.shape}")
-        if np.any(idx < 0) or np.any(idx >= self.modulus):
-            raise ValueError("phase indices must lie in [0, modulus)")
-        if self.nonzero_only and np.any(idx == 0):
-            raise ValueError("nonzero_only base contains a zero phase index")
-        object.__setattr__(self, "phase_indices", idx)
+        if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= m:
+            raise ValueError(f"phase indices must be integers in [0, {m}), got dtype {idx.dtype}")
+        object.__setattr__(self, "modulus", m)
+        object.__setattr__(self, "phase_indices", idx.astype(np.int64, copy=False))
 
     @property
     def dim(self) -> int:
@@ -186,11 +190,7 @@ def sample_base(m: int, D: int, seed: int, nonzero_only: bool = False) -> Modulu
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     rng = np.random.default_rng(seed)
-    if nonzero_only:
-        idx = rng.integers(1, m, size=D, dtype=np.int64)
-    else:
-        idx = rng.integers(0, m, size=D, dtype=np.int64)
-    return ModulusBase(modulus=m, phase_indices=idx, seed=int(seed), nonzero_only=nonzero_only)
+    return ModulusBase(m, rng.integers(int(nonzero_only), m, size=D, dtype=np.int64))
 
 
 def identity_vector(D: int) -> PhasorVector:
@@ -299,48 +299,42 @@ def add_phase_noise(v: PhasorVector, noise: NoiseModel) -> PhasorVector:
 # --- serialization ------------------------------------------------------
 
 _BASE_FORMAT = "residuehd/modulus-base"
-_BASE_VERSION = 1
+_BASE_VERSION = 2
 
 
 def base_to_dict(base: ModulusBase) -> dict:
-    return {
-        "format": _BASE_FORMAT,
-        "version": _BASE_VERSION,
-        "modulus": base.modulus,
-        "dim": base.dim,
-        "seed": base.seed,
-        "nonzero_only": base.nonzero_only,
-        "phase_indices": [int(u) for u in base.phase_indices],
-    }
+    """The base's record (version 2): its modulus and phase indices."""
+    return {"format": _BASE_FORMAT, "version": _BASE_VERSION,
+            "modulus": base.modulus, "phase_indices": base.phase_indices.tolist()}
 
 
 def base_from_dict(d: dict) -> ModulusBase:
-    """Rebuild a base from its record; a malformed record raises ValueError."""
+    """Rebuild a base from a version-2 or -1 record; a malformed record raises ValueError.
+
+    The modulus and indices must be JSON integers, not floats, strings or bools. A
+    version-1 record's `dim` must match the indices; its seed and `nonzero_only` are ignored.
+    """
     if not isinstance(d, dict) or d.get("format") != _BASE_FORMAT:
         raise ValueError("not a modulus-base record")
-    if d.get("version") != _BASE_VERSION:
-        raise ValueError(f"unsupported modulus-base version: {d.get('version')!r}")
+    version = d.get("version")
+    if type(version) is not int or not 1 <= version <= _BASE_VERSION:
+        raise ValueError(f"unsupported modulus-base version: {version!r}")
+    keys = ("modulus", "phase_indices", "dim") if version == 1 else ("modulus", "phase_indices")
     try:
-        modulus, dim, seed, nonzero_only, indices = (
-            d[k] for k in ("modulus", "dim", "seed", "nonzero_only", "phase_indices")
-        )
+        modulus, indices, *dim = (d[k] for k in keys)
     except KeyError as exc:
         raise ValueError(f"modulus-base record lacks {exc}") from None
-    if not isinstance(indices, list) or not all(type(v) is int for v in (modulus, dim, seed, *indices)):
-        raise ValueError("modulus, dim, seed and phase indices must be integers")
-    if type(nonzero_only) is not bool:
-        raise ValueError(f"nonzero_only must be a bool, got {nonzero_only!r}")
-    base = ModulusBase(modulus, np.array(indices, dtype=np.int64), seed, nonzero_only)
-    if base.dim != dim:
-        raise ValueError(f"record dim {dim} disagrees with its {base.dim} phase indices")
+    if not isinstance(indices, list) or not all(type(v) is int for v in (modulus, *dim, *indices)):
+        raise ValueError("modulus, dim and phase indices must be JSON integers, not floats, strings or bools")
+    base = ModulusBase(modulus, indices)
+    if dim and dim[0] != base.dim:
+        raise ValueError(f"record dim {dim[0]} disagrees with its {base.dim} phase indices")
     return base
 
 
 def save_base(base: ModulusBase, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(base_to_dict(base), fh)
+    Path(path).write_text(json.dumps(base_to_dict(base)), encoding="ascii")
 
 
 def load_base(path) -> ModulusBase:
-    with open(path, "r", encoding="ascii") as fh:
-        return base_from_dict(json.load(fh))
+    return base_from_dict(json.loads(Path(path).read_text(encoding="ascii")))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -94,7 +95,7 @@ class ResidueSystem:
         if len(dims) != 1:
             raise ValueError(f"need one or more bases of one dimension, got dimensions {sorted(dims)}")
         self.dim = dims.pop()
-        self.moduli = tuple(int(b.modulus) for b in self.bases)
+        self.moduli = tuple(b.modulus for b in self.bases)
         if min(self.moduli) < 2:
             raise ValueError(f"modulus must be >= 2, got {min(self.moduli)}")
         _check_pairwise_coprime(self.moduli)
@@ -300,8 +301,8 @@ def system_to_dict(sys: ResidueSystem) -> dict:
 
 def system_from_dict(d: dict) -> ResidueSystem:
     """Rebuild a system from its record; a version-1 record (seeds, lossy) raises ValueError."""
-    if d.get("format") != _SYSTEM_FORMAT:
-        raise ValueError(f"not a residue-system record: {d.get('format')!r}")
+    if not isinstance(d, dict) or d.get("format") != _SYSTEM_FORMAT:
+        raise ValueError("not a residue-system record")
     if d.get("version") != _SYSTEM_VERSION:
         raise ValueError(f"unsupported residue-system version: {d.get('version')!r}")
     if not isinstance(d.get("bases"), list):
@@ -310,10 +311,8 @@ def system_from_dict(d: dict) -> ResidueSystem:
 
 
 def save_system(sys: ResidueSystem, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(system_to_dict(sys), fh)
+    Path(path).write_text(json.dumps(system_to_dict(sys)), encoding="ascii")
 
 
 def load_system(path) -> ResidueSystem:
-    with open(path, "r", encoding="ascii") as fh:
-        return system_from_dict(json.load(fh))
+    return system_from_dict(json.loads(Path(path).read_text(encoding="ascii")))

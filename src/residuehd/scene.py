@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -60,21 +62,25 @@ class FeatureMaps:
     channels: dict[int, tuple[tuple[int, int, float], ...]]
 
     def __post_init__(self):
-        H, W = self.grid
-        if H < 1 or W < 1:
-            raise ValueError(f"grid must be positive, got {self.grid}")
-        frozen = {}
-        for j, coeffs in self.channels.items():
-            rows = []
-            for k, (x, y, val) in enumerate(coeffs):
-                if not (0 <= x < W and 0 <= y < H):
-                    raise ValueError(f"channel {j}, coeff {k}: position ({x}, {y}) outside {W}x{H} grid")
-                if not math.isfinite(val):
-                    raise ValueError(f"channel {j}, coeff {k}: non-finite value {val}")
-                rows.append((int(x), int(y), float(val)))
-            frozen[int(j)] = tuple(rows)
+        try:
+            H, W = map(operator.index, self.grid)
+            if H < 1 or W < 1:
+                raise ValueError(f"grid must be positive, got {self.grid}")
+            frozen = {}
+            for j, coeffs in self.channels.items():
+                rows = []
+                for k, (x, y, val) in enumerate(coeffs):
+                    x, y = operator.index(x), operator.index(y)
+                    if not (0 <= x < W and 0 <= y < H):
+                        raise ValueError(f"channel {j}, coeff {k}: position ({x}, {y}) outside {W}x{H} grid")
+                    if not math.isfinite(val):
+                        raise ValueError(f"channel {j}, coeff {k}: non-finite value {val}")
+                    rows.append((x, y, float(val)))
+                frozen[operator.index(j)] = tuple(rows)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"grid sizes, channel ids and positions must be integers, values real: {exc}") from None
         object.__setattr__(self, "channels", frozen)
-        object.__setattr__(self, "grid", (int(H), int(W)))
+        object.__setattr__(self, "grid", (H, W))
 
 
 @dataclass(frozen=True)
@@ -106,25 +112,28 @@ class SceneDecode:
 
 
 def load_feature_maps(path) -> FeatureMaps:
-    """Read the {grid, channels} JSON format, with located parse errors."""
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "grid" not in doc or "channels" not in doc:
-        raise ValueError("feature-map file must contain 'grid' and 'channels'")
+    """Read the {grid, channels} JSON format; a malformed file raises ValueError.
+
+    Checks the JSON shape, naming the entry at fault, and that no channel id
+    repeats; FeatureMaps checks the values, so a float position is rejected.
+    """
+    doc = json.loads(Path(path).read_text(encoding="ascii"))
+    if not isinstance(doc, dict) or "grid" not in doc or not isinstance(doc.get("channels"), list):
+        raise ValueError("feature-map file must contain 'grid' and a 'channels' list")
     grid = doc["grid"]
     if not (isinstance(grid, list) and len(grid) == 2):
         raise ValueError(f"grid must be [H, W], got {grid!r}")
     channels = {}
     for c_idx, ch in enumerate(doc["channels"]):
-        if "id" not in ch or "coeffs" not in ch:
-            raise ValueError(f"channel entry {c_idx}: missing 'id' or 'coeffs'")
-        coeffs = []
+        if not (isinstance(ch, dict) and type(ch.get("id")) is int and isinstance(ch.get("coeffs"), list)):
+            raise ValueError(f"channel entry {c_idx}: needs an integer 'id' and a 'coeffs' list")
+        if ch["id"] in channels:
+            raise ValueError(f"channel entry {c_idx}: id {ch['id']} repeats an earlier channel")
         for k, row in enumerate(ch["coeffs"]):
             if not (isinstance(row, list) and len(row) == 3):
                 raise ValueError(f"channel {ch['id']}, coeff {k}: expected [x, y, value], got {row!r}")
-            coeffs.append((row[0], row[1], row[2]))
-        channels[ch["id"]] = tuple(coeffs)
-    return FeatureMaps(grid=(grid[0], grid[1]), channels=channels)
+        channels[ch["id"]] = tuple(map(tuple, ch["coeffs"]))
+    return FeatureMaps(grid=tuple(grid), channels=channels)
 
 
 def save_feature_maps(maps: FeatureMaps, path) -> None:
@@ -135,8 +144,7 @@ def save_feature_maps(maps: FeatureMaps, path) -> None:
             for j, coeffs in sorted(maps.channels.items())
         ],
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh)
+    Path(path).write_text(json.dumps(doc), encoding="ascii")
 
 
 def translate_maps(maps: FeatureMaps, dx: int, dy: int) -> FeatureMaps:

@@ -17,8 +17,10 @@ pairwise co-prime (odd m makes m-1 and m+1 share a factor of 2).
 from __future__ import annotations
 
 import json
+import operator
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -53,18 +55,22 @@ class SubsetSumInstance:
     seed: int | None = None
 
     def __post_init__(self):
-        items = tuple(int(s) for s in self.items)
-        object.__setattr__(self, "items", items)
+        try:
+            items, target = tuple(map(operator.index, self.items)), operator.index(self.target)
+            gt = None if self.ground_truth is None else tuple(sorted(map(operator.index, self.ground_truth)))
+            seed = None if self.seed is None else operator.index(self.seed)
+        except TypeError as exc:
+            raise ValueError(f"items, target, ground truth and seed must be integers: {exc}") from None
+        for name, value in (("items", items), ("target", target), ("ground_truth", gt), ("seed", seed)):
+            object.__setattr__(self, name, value)
         if any(s <= 0 for s in items):
             raise ValueError("items must be positive integers")
-        if not 0 <= self.target <= sum(items):
-            raise ValueError(f"target {self.target} outside [0, {sum(items)}]")
-        if self.ground_truth is not None:
-            gt = tuple(sorted(int(i) for i in self.ground_truth))
-            object.__setattr__(self, "ground_truth", gt)
+        if not 0 <= target <= sum(items):
+            raise ValueError(f"target {target} outside [0, {sum(items)}]")
+        if gt is not None:
             if len(set(gt)) != len(gt) or any(not 0 <= i < len(items) for i in gt):
                 raise ValueError("ground truth must be distinct valid item indices")
-            if sum(items[i] for i in gt) != self.target:
+            if sum(items[i] for i in gt) != target:
                 raise ValueError("ground truth does not sum to the target")
 
 
@@ -101,25 +107,20 @@ def make_subsetsum_system(m: int, D: int, seed: int) -> ResidueSystem:
 
 
 def save_instance(instance: SubsetSumInstance, path) -> None:
-    doc = {
-        "items": list(instance.items),
-        "target": instance.target,
-        "ground_truth": None if instance.ground_truth is None else list(instance.ground_truth),
-        "seed": instance.seed,
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh)
+    Path(path).write_text(json.dumps(asdict(instance)), encoding="ascii")
 
 
 def load_instance(path) -> SubsetSumInstance:
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    return SubsetSumInstance(
-        items=tuple(doc["items"]),
-        target=int(doc["target"]),
-        ground_truth=doc.get("ground_truth"),
-        seed=None if doc.get("seed") is None else int(doc["seed"]),
-    )
+    """Read an instance file; a malformed file raises ValueError.
+
+    Checks the JSON shape (an `items` list, a `target`, a list or null
+    `ground_truth`); SubsetSumInstance checks the values, so a float is rejected.
+    """
+    doc = json.loads(Path(path).read_text(encoding="ascii"))
+    if not (isinstance(doc, dict) and isinstance(doc.get("items"), list) and "target" in doc
+            and isinstance(doc.get("ground_truth"), (list, type(None)))):
+        raise ValueError("instance file needs an 'items' list, a 'target' and a list or null 'ground_truth'")
+    return SubsetSumInstance(tuple(doc["items"]), doc["target"], doc.get("ground_truth"), doc.get("seed"))
 
 
 def generate_instance(n: int, sys: ResidueSystem, seed: int) -> SubsetSumInstance:

@@ -180,6 +180,15 @@ class TestHexEncoding:
         with pytest.raises(ValueError):
             HexSystem((3, 6), 64, seed=15)
 
+    def test_no_moduli_rejected(self):
+        # once built with no directions, and range_M raised IndexError
+        with pytest.raises(ValueError):
+            HexSystem((), 64, seed=15)
+
+    def test_moduli_and_dim_read_from_directions(self):
+        hs = HexSystem((np.int64(3), 5), 64, seed=15)
+        assert (hs.moduli, hs.dim) == ((3, 5), 64) and type(hs.moduli[0]) is int
+
     def test_encoding_near_exact_limit_bit_exact(self):
         # u1 (m-1) + u2 (m-2) + u3 (m-3) would wrap int64 summed in one step
         m = 2147483659

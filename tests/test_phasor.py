@@ -30,6 +30,12 @@ from residuehd.phasor import (
 )
 
 
+def version_1_record(base):
+    """The record of `base` as the version-1 writer made it, with dim, seed and nonzero_only."""
+    return {"format": "residuehd/modulus-base", "version": 1, "modulus": base.modulus, "dim": base.dim,
+            "seed": 9, "nonzero_only": False, "phase_indices": base.phase_indices.tolist()}
+
+
 class TestSampleBase:
     def test_range_and_determinism(self):
         a = sample_base(5, 4, seed=123)
@@ -61,14 +67,33 @@ class TestSampleBase:
 
     def test_base_invariants(self):
         with pytest.raises(ValueError):
-            ModulusBase(modulus=5, phase_indices=np.array([0, 2, 5]), seed=0)
+            ModulusBase(modulus=5, phase_indices=np.array([0, 2, 5]))
         with pytest.raises(ValueError):
-            ModulusBase(modulus=5, phase_indices=np.array([0, 2, 3]), seed=0, nonzero_only=True)
+            ModulusBase(modulus=5, phase_indices=np.array([-1, 2, 3]))
+
+    @pytest.mark.parametrize("modulus, indices", [
+        (5, np.array([1.7, 2.2, 4.9])),  # once truncated to [1 2 4]
+        (5, [1, 2, 2**70]),  # an object array
+        (5, [True, False]),
+        (5.0, [1, 2]),
+        ("5", [1, 2]),
+        (None, [1, 2]),
+    ])
+    def test_base_rejects_non_integers(self, modulus, indices):
+        with pytest.raises(ValueError):
+            ModulusBase(modulus, indices)
+
+    def test_numpy_modulus_becomes_int(self, tmp_path):
+        # a numpy modulus once reached json.dump, which left a truncated file
+        base = sample_base(np.int64(5), 8, seed=0)
+        assert type(base.modulus) is int
+        save_base(base, tmp_path / "base.json")
+        assert load_base(tmp_path / "base.json").modulus == 5
 
     @pytest.mark.parametrize("indices", [np.array([[1, 2], [3, 4]]), np.array([], dtype=np.int64)])
     def test_base_rejects_non_1d_or_empty_indices(self, indices):
         with pytest.raises(ValueError, match="non-empty 1-D"):
-            ModulusBase(modulus=5, phase_indices=indices, seed=0)
+            ModulusBase(modulus=5, phase_indices=indices)
 
     def test_modulus_beyond_exact_limit_rejected(self):
         # u * x would wrap int64 in encode_integer at this modulus
@@ -76,7 +101,7 @@ class TestSampleBase:
         with pytest.raises(ValueError, match="exact period limit"):
             sample_base(m, 4, seed=0)
         with pytest.raises(ValueError, match="exact period limit"):
-            ModulusBase(modulus=m, phase_indices=np.array([m - 2]), seed=0)
+            ModulusBase(modulus=m, phase_indices=np.array([m - 2]))
 
 
 class TestEncodeInteger:
@@ -114,7 +139,7 @@ class TestEncodeRational:
         assert np.allclose(dense.values, exact.values, atol=1e-12)
 
     def test_half_step_mod2(self):
-        base = ModulusBase(modulus=2, phase_indices=np.ones(4, dtype=np.int64), seed=0)
+        base = ModulusBase(modulus=2, phase_indices=np.ones(4, dtype=np.int64))
         v = encode_rational(base, 0.5)
         assert np.allclose(v.values, 1j, atol=1e-12)
 
@@ -264,17 +289,14 @@ class TestSerialization:
         loaded = load_base(path)
         assert loaded.modulus == base.modulus
         assert loaded.dim == base.dim
-        assert loaded.seed == base.seed
-        assert loaded.nonzero_only == base.nonzero_only
         assert np.array_equal(loaded.phase_indices, base.phase_indices)
 
-    @given(data=strategies.data(), m=strategies.integers(2, 10**6), D=strategies.integers(1, 64),
-           seed=strategies.integers(0, 2**63 - 1), nonzero_only=strategies.booleans())
-    def test_dict_round_trip(self, data, m, D, seed, nonzero_only):
-        indices = data.draw(arrays(np.int64, D, elements=strategies.integers(int(nonzero_only), m - 1)))
-        base = ModulusBase(modulus=m, phase_indices=indices, seed=seed, nonzero_only=nonzero_only)
+    @given(data=strategies.data(), m=strategies.integers(2, 10**6), D=strategies.integers(1, 64))
+    def test_dict_round_trip(self, data, m, D):
+        indices = data.draw(arrays(np.int64, D, elements=strategies.integers(0, m - 1)))
+        base = ModulusBase(modulus=m, phase_indices=indices)
         loaded = base_from_dict(json.loads(json.dumps(base_to_dict(base))))
-        assert (loaded.modulus, loaded.dim, loaded.seed, loaded.nonzero_only) == (m, D, seed, nonzero_only)
+        assert (loaded.modulus, loaded.dim) == (m, D)
         assert np.array_equal(loaded.phase_indices, base.phase_indices)
 
     def test_format_checks(self):
@@ -287,34 +309,49 @@ class TestSerialization:
         with pytest.raises(ValueError):
             base_from_dict(bad)
 
-    @pytest.mark.parametrize("key", ["modulus", "dim", "seed", "nonzero_only", "phase_indices"])
+    @pytest.mark.parametrize("key", ["modulus", "dim", "phase_indices"])
     def test_missing_key_rejected(self, key):
-        d = base_to_dict(sample_base(5, 4, seed=21))
+        d = version_1_record(sample_base(5, 4, seed=21))
         del d[key]
         with pytest.raises(ValueError, match=key):
             base_from_dict(d)
 
+    # explicit ids keep each case's name from when the list also held seed and nonzero_only cases
     @pytest.mark.parametrize("change, match", [
-        ({"modulus": 5.9}, "integers"),
-        ({"seed": 5.9}, "integers"),
-        ({"dim": 4.0}, "integers"),
-        ({"phase_indices": [1.7, 2.2, 3.9, 0.5]}, "integers"),
-        ({"phase_indices": ["1", "2", "3", "0"]}, "integers"),
-        ({"nonzero_only": 1}, "bool"),
-        ({"nonzero_only": "false"}, "bool"),
-        ({"dim": 100}, "disagrees"),
-        ({"dim": 3}, "disagrees"),
+        pytest.param({"modulus": 5.9}, "integers", id="change0-integers"),
+        pytest.param({"dim": 4.0}, "integers", id="change2-integers"),
+        pytest.param({"phase_indices": [1.7, 2.2, 3.9, 0.5]}, "integers", id="change3-integers"),
+        pytest.param({"phase_indices": ["1", "2", "3", "0"]}, "integers", id="change4-integers"),
+        pytest.param({"dim": 100}, "disagrees", id="change7-disagrees"),
+        pytest.param({"dim": 3}, "disagrees", id="change8-disagrees"),
     ])
     def test_malformed_record_rejected(self, change, match):
-        d = dict(base_to_dict(sample_base(5, 4, seed=21)), **change)
+        d = dict(version_1_record(sample_base(5, 4, seed=21)), **change)
         with pytest.raises(ValueError, match=match):
             base_from_dict(d)
 
+    @pytest.mark.parametrize("change", [
+        {"modulus": True},
+        {"phase_indices": [1, True, 3, 0]},
+        {"phase_indices": [1, 2, 2**70, 0]},  # once an OverflowError
+        {"phase_indices": [1, 2, 2**63, 0]},
+        {"phase_indices": []},
+        {"version": True},
+        {"version": 3},
+    ])
+    def test_malformed_version_2_record_rejected(self, change):
+        with pytest.raises(ValueError):
+            base_from_dict(dict(base_to_dict(sample_base(5, 4, seed=21)), **change))
+
+    def test_version_1_record_read(self):
+        base = sample_base(5, 4, seed=21, nonzero_only=True)
+        loaded = base_from_dict(version_1_record(base))
+        assert loaded.modulus == 5 and np.array_equal(loaded.phase_indices, base.phase_indices)
+
     def test_record_bytes_unchanged(self):
-        d = base_to_dict(ModulusBase(modulus=5, phase_indices=np.array([4, 0, 2]), seed=9))
+        d = base_to_dict(ModulusBase(modulus=5, phase_indices=np.array([4, 0, 2])))
         assert json.dumps(d) == (
-            '{"format": "residuehd/modulus-base", "version": 1, "modulus": 5, "dim": 3, '
-            '"seed": 9, "nonzero_only": false, "phase_indices": [4, 0, 2]}'
+            '{"format": "residuehd/modulus-base", "version": 2, "modulus": 5, "phase_indices": [4, 0, 2]}'
         )
 
 

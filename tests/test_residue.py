@@ -149,27 +149,25 @@ class TestRingLaws:
 
 class TestAntiBase:
     def test_inverse_of_3_mod_5(self):
-        base = ModulusBase(modulus=5, phase_indices=np.array([3, 3, 3, 3]), seed=0, nonzero_only=True)
+        base = ModulusBase(modulus=5, phase_indices=np.array([3, 3, 3, 3]))
         assert np.all(anti_base(base).indices == 2)
 
     def test_inverse_of_1_is_1(self):
-        base = ModulusBase(modulus=7, phase_indices=np.array([1, 1, 1]), seed=0, nonzero_only=True)
+        base = ModulusBase(modulus=7, phase_indices=np.array([1, 1, 1]))
         assert np.all(anti_base(base).indices == 1)
 
     def test_exhaustive_mod7(self):
-        base = ModulusBase(
-            modulus=7, phase_indices=np.arange(1, 7, dtype=np.int64), seed=0, nonzero_only=True
-        )
+        base = ModulusBase(modulus=7, phase_indices=np.arange(1, 7, dtype=np.int64))
         ab = anti_base(base)
         assert np.all((base.phase_indices * ab.indices) % 7 == 1)
 
     def test_requires_prime(self):
-        base = ModulusBase(modulus=6, phase_indices=np.array([1, 5]), seed=0)
+        base = ModulusBase(modulus=6, phase_indices=np.array([1, 5]))
         with pytest.raises(ValueError, match="prime"):
             anti_base(base)
 
     def test_requires_nonzero(self):
-        base = ModulusBase(modulus=5, phase_indices=np.array([0, 2]), seed=0)
+        base = ModulusBase(modulus=5, phase_indices=np.array([0, 2]))
         with pytest.raises(ValueError, match="nonzero"):
             anti_base(base)
 
@@ -177,7 +175,7 @@ class TestAntiBase:
         # the largest prime modulus allowed: squaring a residue nearly fills int64
         m = next(p for p in range(_MAX_PERIOD, 2, -1) if _is_prime(p))
         u = np.random.default_rng(5).integers(1, m, size=32)
-        inv = anti_base(ModulusBase(modulus=m, phase_indices=u, seed=0, nonzero_only=True)).indices
+        inv = anti_base(ModulusBase(modulus=m, phase_indices=u)).indices
         assert all(int(a) * int(b) % m == 1 for a, b in zip(u, inv))
 
 
@@ -442,19 +440,38 @@ class TestSerialization:
         restored = system_from_dict(json.loads(json.dumps(system_to_dict(sys))))
         assert (restored.moduli, restored.dim) == (sys.moduli, D)
         for a, b in zip(restored.bases, sys.bases, strict=True):
-            assert (a.modulus, a.seed, a.nonzero_only) == (b.modulus, b.seed, b.nonzero_only)
+            assert a.modulus == b.modulus
             assert np.array_equal(a.phase_indices, b.phase_indices)
 
     def test_bad_format(self):
         with pytest.raises(ValueError):
             system_from_dict({"format": "nope"})
 
+    @pytest.mark.parametrize("doc", [[1], None, "residuehd/residue-system"])
+    def test_non_dict_record_rejected(self, doc):
+        # a list once raised AttributeError
+        with pytest.raises(ValueError, match="not a residue-system record"):
+            system_from_dict(doc)
+
+    def test_record_with_version_1_bases_loads(self):
+        # the version-2 system record as first written, holding version-1 base records
+        old = {"format": "residuehd/residue-system", "version": 2, "bases": [
+            {"format": "residuehd/modulus-base", "version": 1, "modulus": 3, "dim": 4, "seed": 11,
+             "nonzero_only": False, "phase_indices": [0, 2, 1, 2]},
+            {"format": "residuehd/modulus-base", "version": 1, "modulus": 5, "dim": 4, "seed": 12,
+             "nonzero_only": True, "phase_indices": [4, 1, 1, 3]},
+        ]}
+        sys = system_from_dict(old)
+        assert (sys.moduli, sys.dim) == ((3, 5), 4)
+        assert [b.phase_indices.tolist() for b in sys.bases] == [[0, 2, 1, 2], [4, 1, 1, 3]]
+        assert system_from_dict(system_to_dict(sys)).bases[1].phase_indices.tolist() == [4, 1, 1, 3]
+
     @staticmethod
     def assert_round_trips(sys):
         restored = system_from_dict(json.loads(json.dumps(system_to_dict(sys))))
         assert (restored.moduli, restored.dim) == (sys.moduli, sys.dim)
         for a, b in zip(restored.bases, sys.bases, strict=True):
-            assert (a.modulus, a.seed, a.nonzero_only) == (b.modulus, b.seed, b.nonzero_only)
+            assert a.modulus == b.modulus
             assert np.array_equal(a.phase_indices, b.phase_indices)
 
     def test_hex_directions_round_trip(self):
@@ -464,8 +481,8 @@ class TestSerialization:
 
     def test_hand_built_system_round_trip(self):
         self.assert_round_trips(ResidueSystem([
-            ModulusBase(modulus=3, phase_indices=np.array([1, 2, 0, 1]), seed=7),
-            ModulusBase(modulus=5, phase_indices=np.array([4, 4, 1, 2]), seed=7, nonzero_only=True),
+            ModulusBase(modulus=3, phase_indices=np.array([1, 2, 0, 1])),
+            ModulusBase(modulus=5, phase_indices=np.array([4, 4, 1, 2])),
         ]))
 
     def test_version_1_record_rejected(self):
@@ -476,21 +493,21 @@ class TestSerialization:
 
     def test_malformed_base_record_rejected(self):
         d = system_to_dict(make_residue_system([3, 5], 8, seed=1))
-        d["bases"][1]["dim"] = 100
+        d["bases"][1].update(version=1, dim=100)
         with pytest.raises(ValueError, match="disagrees"):
             system_from_dict(d)
         with pytest.raises(ValueError, match="list of base records"):
             system_from_dict(dict(d, bases=None))
 
     def test_bases_are_the_whole_state(self):
-        bases = [ModulusBase(modulus=3, phase_indices=np.array([1, 2]), seed=0),
-                 ModulusBase(modulus=np.int64(4), phase_indices=np.array([3, 0]), seed=0)]
+        bases = [ModulusBase(modulus=3, phase_indices=np.array([1, 2])),
+                 ModulusBase(modulus=np.int64(4), phase_indices=np.array([3, 0]))]
         sys = ResidueSystem(bases)
         assert (sys.moduli, sys.dim) == ((3, 4), 2) and type(sys.moduli[1]) is int
         with pytest.raises(ValueError, match="of one dimension"):
-            ResidueSystem([bases[0], ModulusBase(modulus=5, phase_indices=np.array([1]), seed=0)])
+            ResidueSystem([bases[0], ModulusBase(modulus=5, phase_indices=np.array([1]))])
         with pytest.raises(ValueError, match="co-prime"):
-            ResidueSystem([bases[1], ModulusBase(modulus=6, phase_indices=np.array([1, 1]), seed=0)])
+            ResidueSystem([bases[1], ModulusBase(modulus=6, phase_indices=np.array([1, 1]))])
         with pytest.raises(ValueError):
             ResidueSystem([])
         assert system_to_dict(sys)["bases"] == [base_to_dict(b) for b in bases]

@@ -83,7 +83,7 @@ class TestCodebooks:
     def test_modular_codebook_equals_dense(self, m, D, real_x, seed):
         # the group-sum step against the matrix products on the dense rows
         rng = np.random.default_rng(seed)
-        base = ModulusBase(m, rng.integers(0, m, D), seed)
+        base = ModulusBase(m, rng.integers(0, m, D))
         cb = ModularCodebook(m, base.phase_indices)
         assert (cb.n_entries, cb.dim) == (m, D)
         dense = np.stack([encode_integer(base, r).values for r in range(m)])

@@ -69,6 +69,42 @@ class TestFeatureMaps:
         with pytest.raises(ValueError, match="grid"):
             load_feature_maps(path)
 
+    def test_repeated_channel_id_rejected(self, tmp_path):
+        # the second channel 0 once replaced the first
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"grid": [4, 4], "channels": [{"id": 0, "coeffs": [[1, 1, 1.0]]},
+                                                                 {"id": 0, "coeffs": [[2, 2, 1.0]]}]}))
+        with pytest.raises(ValueError, match="repeats"):
+            load_feature_maps(path)
+
+    @pytest.mark.parametrize("grid, channels", [
+        ([4, 4], [{"id": 0.5, "coeffs": []}]),  # truncated once, as were the next two
+        ([4, 4], [{"id": 0, "coeffs": [[1.9, 1, 1.0]]}]),
+        ([4.5, 4], []),
+        ([4, 4], 5),  # a TypeError once, as were the rest
+        ([4, 4], [{"id": 0, "coeffs": 5}]),
+        ([4, 4], [{"id": 0, "coeffs": [[1, 1, "1.0"]]}]),
+        ([4, 4], [{"id": None, "coeffs": []}]),
+        (["4", 4], []),
+        ([4, 4], [5]),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, grid, channels):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"grid": grid, "channels": channels}))
+        with pytest.raises(ValueError):
+            load_feature_maps(path)
+
+    @pytest.mark.parametrize("grid, channels", [
+        ((4.5, 4), {}),
+        ((4, 4), {0.5: ()}),
+        ((4, 4), {0: ((1.9, 1, 1.0),)}),
+        ((4, 4), {0: ((1, 1, "1.0"),)}),
+        ((4, 4), {0: ((1, 1, 10**400),)}),
+    ])
+    def test_constructor_rejects_non_integers(self, grid, channels):
+        with pytest.raises(ValueError):
+            FeatureMaps(grid=grid, channels=channels)
+
 
 class TestSceneEncoding:
     def test_empty_maps_zero_vector(self):

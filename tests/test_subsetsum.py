@@ -1,5 +1,6 @@
 """Subset-sum search: instances, factor codebooks, solver, baselines."""
 
+import json
 import math
 
 import numpy as np
@@ -227,6 +228,23 @@ class TestInstanceFiles:
         path = tmp_path_factory.mktemp("instance") / "instance.json"
         save_instance(inst, path)
         assert load_instance(path) == inst
+
+    @pytest.mark.parametrize("doc", [
+        {"items": [1.7, 2.2], "target": 3},  # once truncated to (1, 2)
+        {"items": [1, 2], "target": "3"},  # once accepted
+        {"items": [1, 2], "target": 3, "seed": 1.5},  # once truncated to 1
+        {"target": 3},  # once a KeyError
+        [1, 2, 3],  # once a TypeError, as were the next two
+        {"items": 5, "target": 3},
+        {"items": [1, 2], "target": None},
+        {"items": [1, 2], "target": 3, "ground_truth": [0.0, 1]},
+        {"items": [1, 2], "target": 3, "ground_truth": 1},
+    ])
+    def test_malformed_file_rejected(self, tmp_path, doc):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_instance(path)
 
 
 class TestBenchmark:
