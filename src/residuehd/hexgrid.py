@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -100,14 +101,17 @@ class HexSystem:
 
     Direction d is a ResidueSystem over the moduli holding base d of every
     triplet, so a 3-coordinate encodes as the Cartesian product of the
-    three directions; the moduli and D are read from direction 0.
+    three directions; the moduli and D are read from direction 0. `moduli`
+    is one integer (a Python or numpy int) or an iterable of them.
     """
 
     __slots__ = ("directions", "_books")
 
     def __init__(self, moduli, D: int, seed: int):
-        if isinstance(moduli, int):
-            moduli = (moduli,)
+        try:
+            moduli = (operator.index(moduli),)
+        except TypeError:
+            pass  # an iterable of moduli
         triplets = [sample_hex_base(m, D, _child_seeds(seed, (k,))[0]) for k, m in enumerate(moduli)]
         self.directions = tuple(ResidueSystem(t[d] for t in triplets) for d in range(3))
         # modulus-major: the three direction books of modulus k sit at 3k, 3k+1, 3k+2

@@ -56,6 +56,15 @@ _UNIT_TOL = 1e-9
 _MAX_PERIOD = math.isqrt(2**63 - 1)
 
 
+def _index(value) -> int:
+    """operator.index that also refuses a bool, so a JSON true or false is not read as 1 or 0."""
+    if type(value) is int:  # the common case, without the two calls below
+        return value
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got the bool {value}")
+    return operator.index(value)
+
+
 class PhasorVector:
     """A D-dimensional vector of unit-magnitude complex components.
 
@@ -144,7 +153,8 @@ class ModulusBase:
 
     A base is its modulus and indices, and this is its only check: an integer
     modulus of at most _MAX_PERIOD and a non-empty 1-D integer array of indices
-    in [0, modulus), whose length is D. Anything else raises ValueError.
+    in [0, modulus), whose length is D. Anything else raises ValueError. The
+    base keeps its own read-only int64 copy of the indices.
     """
 
     modulus: int
@@ -162,8 +172,12 @@ class ModulusBase:
             raise ValueError(f"phase indices must be a non-empty 1-D array, got shape {idx.shape}")
         if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= m:
             raise ValueError(f"phase indices must be integers in [0, {m}), got dtype {idx.dtype}")
+        # the base's own read-only copy: a system caches what it derives from
+        # its bases, so neither the caller nor a reader may change them later
+        idx = idx.astype(np.int64)
+        idx.setflags(write=False)
         object.__setattr__(self, "modulus", m)
-        object.__setattr__(self, "phase_indices", idx.astype(np.int64, copy=False))
+        object.__setattr__(self, "phase_indices", idx)
 
     @property
     def dim(self) -> int:
@@ -273,14 +287,19 @@ def phase_normalize(v) -> PhasorVector:
     Accepts a PhasorVector or a raw complex array.
     """
     vals = v.values if isinstance(v, PhasorVector) else np.asarray(v, dtype=np.complex128)
-    mags = np.abs(vals)
+    return PhasorVector.dense(_unit_into(vals, np.empty_like(vals)), validate=False)
+
+
+def _unit_into(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write y / |y| into out (which may be y) and return out; a zero or NaN component becomes 1+0j."""
+    mags = np.abs(y)
     if mags.size and not mags.min() > 0.0:  # a zero (or NaN) magnitude
         unset = ~(mags > 0.0)
         mags[unset] = 1.0
-        out = vals / mags
+        np.divide(y, mags, out=out)
         out[unset] = 1.0
-        return PhasorVector.dense(out, validate=False)
-    return PhasorVector.dense(vals / mags, validate=False)
+        return out
+    return np.divide(y, mags, out=out)
 
 
 def add_phase_noise(v: PhasorVector, noise: NoiseModel) -> PhasorVector:

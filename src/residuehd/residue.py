@@ -85,9 +85,13 @@ class ResidueSystem:
     """A residue code: one random base vector per pairwise co-prime modulus.
 
     The bases are the whole state: the moduli (as ints) and D are read from them.
+    Two constants derived from the bases are built on first use and kept, since
+    the bases cannot change: the anti-bases that :func:`multiply` reads, and the
+    indices of encode(1), from which :meth:`encode` scales every other integer.
+    A call that raises keeps nothing, and a record holds neither.
     """
 
-    __slots__ = ("moduli", "dim", "bases")
+    __slots__ = ("moduli", "dim", "bases", "_anti_bases", "_unit_indices")
 
     def __init__(self, bases: Iterable[ModulusBase]):
         self.bases = tuple(bases)
@@ -99,6 +103,8 @@ class ResidueSystem:
         if min(self.moduli) < 2:
             raise ValueError(f"modulus must be >= 2, got {min(self.moduli)}")
         _check_pairwise_coprime(self.moduli)
+        self._anti_bases = None  # anti_base of each base, kept by the first multiply
+        self._unit_indices = None  # indices of encode(1), kept by the first encode
 
     @property
     def range_M(self) -> int:
@@ -117,10 +123,15 @@ class ResidueSystem:
 
         Raises ValueError when M exceeds the exact period limit.
         """
-        out = None
-        for f in self.encode_factors(x):
-            out = f if out is None else hadamard(out, f)
-        return out
+        if self._unit_indices is None:
+            one = None
+            for f in self.encode_factors(1):
+                one = f if one is None else hadamard(one, f)
+            self._unit_indices = one.indices
+        # z(x) = z(1)^x: the same indices as the hadamard chain of encode_factors(x),
+        # and w * (x mod M) < M^2 fits int64 by the exact period limit
+        M = self.range_M
+        return PhasorVector.exact(self._unit_indices * (int(x) % M), M)
 
     def split(self, v: PhasorVector) -> list[PhasorVector]:
         """Per-modulus factors of an exact composed vector; inverts :meth:`encode`.
@@ -153,7 +164,7 @@ def make_residue_system(moduli, D: int, seed: int, nonzero_only: bool = False) -
     nonzero_only) fully reproduces the system.
     """
     return ResidueSystem(
-        sample_base(int(m), D, _child_seeds(seed, (k,))[0], nonzero_only=nonzero_only)
+        sample_base(m, D, _child_seeds(seed, (k,))[0], nonzero_only=nonzero_only)
         for k, m in enumerate(moduli)
     )
 
@@ -214,16 +225,19 @@ def multiply(sys: ResidueSystem, a, b) -> PhasorVector:
     turns into that list. A dense operand raises ValueError: decode it
     first with `decode_residue_number` and pass `encode_factors` of the
     result. All moduli must be prime and bases sampled with nonzero_only;
-    :func:`anti_base` raises ValueError otherwise.
+    :func:`anti_base` raises ValueError otherwise. The anti-bases are built
+    on the system's first multiply and kept.
     """
     a, b = (sys.split(v) if isinstance(v, PhasorVector) else list(v) for v in (a, b))
     if len(a) != len(sys.moduli) or len(b) != len(sys.moduli):
         raise ValueError("need one factor vector per modulus")
+    if any(f.period != m for m, fa, fb in zip(sys.moduli, a, b) for f in (fa, fb)):
+        raise ValueError("factor period does not match its modulus")
+    if sys._anti_bases is None:
+        sys._anti_bases = tuple(anti_base(base) for base in sys.bases)
     out = None
-    for base, fa, fb in zip(sys.bases, a, b):
-        if fa.period != base.modulus or fb.period != base.modulus:
-            raise ValueError("factor period does not match its modulus")
-        part = f_op(f_op(fa, fb), anti_base(base))
+    for y, fa, fb in zip(sys._anti_bases, a, b):
+        part = f_op(f_op(fa, fb), y)
         out = part if out is None else hadamard(out, part)
     return out
 

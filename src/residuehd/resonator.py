@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasor import NoiseModel, PhasorVector, add_phase_noise, phase_normalize
+from .phasor import NoiseModel, PhasorVector, _unit_into, add_phase_noise
 from .residue import ResidueSystem, _child_seeds, _is_prime, crt_reconstruct, make_residue_system
 
 __all__ = [
@@ -120,7 +120,7 @@ class Codebook:
     def step(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the unit estimate g(c @ Z) into out; return c = conj(Z) @ x."""
         c = self.project(x)
-        out[...] = phase_normalize(c @ self.matrix).values
+        _unit_into(np.matmul(c, self.matrix, out=out), out)
         return c
 
     def row(self, i: int) -> np.ndarray:
@@ -195,9 +195,10 @@ class ModularCodebook:
         """Write the unit estimate g(m * h)[u] into out; return h."""
         h = self._group_sum(x)
         # g(m * h)[u] is g(h)[u]: g maps elementwise and the factor m moves no
-        # phase. u is in [0, m), so mode="wrap" never wraps; unlike mode="raise"
-        # it writes into out directly, not through a temporary
-        phase_normalize(h).values.take(self.phase_indices, out=out, mode="wrap")
+        # phase. h is kept whole, since labels are read from it. u is in [0, m),
+        # so mode="wrap" never wraps; unlike mode="raise" it writes into out
+        # directly, not through a temporary
+        _unit_into(h, np.empty_like(h)).take(self.phase_indices, out=out, mode="wrap")
         return h
 
     def row(self, i: int) -> np.ndarray:

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .phasor import phase_normalize
+from .phasor import _index, phase_normalize
 from .residue import ResidueSystem, _child_seeds, crt_reconstruct
 from .resonator import (
     Codebook,
@@ -63,20 +62,20 @@ class FeatureMaps:
 
     def __post_init__(self):
         try:
-            H, W = map(operator.index, self.grid)
+            H, W = map(_index, self.grid)
             if H < 1 or W < 1:
                 raise ValueError(f"grid must be positive, got {self.grid}")
             frozen = {}
             for j, coeffs in self.channels.items():
                 rows = []
                 for k, (x, y, val) in enumerate(coeffs):
-                    x, y = operator.index(x), operator.index(y)
+                    x, y = _index(x), _index(y)
                     if not (0 <= x < W and 0 <= y < H):
                         raise ValueError(f"channel {j}, coeff {k}: position ({x}, {y}) outside {W}x{H} grid")
                     if not math.isfinite(val):
                         raise ValueError(f"channel {j}, coeff {k}: non-finite value {val}")
                     rows.append((x, y, float(val)))
-                frozen[operator.index(j)] = tuple(rows)
+                frozen[_index(j)] = tuple(rows)
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"grid sizes, channel ids and positions must be integers, values real: {exc}") from None
         object.__setattr__(self, "channels", frozen)

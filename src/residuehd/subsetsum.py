@@ -17,7 +17,6 @@ pairwise co-prime (odd m makes m-1 and m+1 share a factor of 2).
 from __future__ import annotations
 
 import json
-import operator
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasor import PhasorVector
+from .phasor import PhasorVector, _index
 from .residue import ResidueSystem, _child_seeds, make_residue_system
 from .resonator import Codebook, ResonatorConfig, resonator_factorize
 
@@ -56,9 +55,9 @@ class SubsetSumInstance:
 
     def __post_init__(self):
         try:
-            items, target = tuple(map(operator.index, self.items)), operator.index(self.target)
-            gt = None if self.ground_truth is None else tuple(sorted(map(operator.index, self.ground_truth)))
-            seed = None if self.seed is None else operator.index(self.seed)
+            items, target = tuple(map(_index, self.items)), _index(self.target)
+            gt = None if self.ground_truth is None else tuple(sorted(map(_index, self.ground_truth)))
+            seed = None if self.seed is None else _index(self.seed)
         except TypeError as exc:
             raise ValueError(f"items, target, ground truth and seed must be integers: {exc}") from None
         for name, value in (("items", items), ("target", target), ("ground_truth", gt), ("seed", seed)):

@@ -20,7 +20,7 @@ from residuehd.hexgrid import (
     write_hex_heatmap_csv,
 )
 from residuehd.phasor import hadamard, similarity
-from residuehd.residue import make_residue_system, multiply
+from residuehd.residue import make_residue_system, multiply, system_to_dict
 
 
 class TestProjectionFrame:
@@ -184,6 +184,13 @@ class TestHexEncoding:
         # once built with no directions, and range_M raised IndexError
         with pytest.raises(ValueError):
             HexSystem((), 64, seed=15)
+
+    def test_numpy_single_modulus(self):
+        # once a TypeError: only a Python int was taken as one modulus
+        hs, want = HexSystem(np.int64(5), 8, 0), HexSystem(5, 8, 0)
+        assert hs.moduli == (5,) and type(hs.moduli[0]) is int
+        for a, b in zip(hs.directions, want.directions):
+            assert system_to_dict(a) == system_to_dict(b)
 
     def test_moduli_and_dim_read_from_directions(self):
         hs = HexSystem((np.int64(3), 5), 64, seed=15)

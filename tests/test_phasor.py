@@ -11,6 +11,7 @@ from scipy import special
 
 from residuehd.phasor import (
     _MAX_PERIOD,
+    _unit_into,
     ModulusBase,
     NoiseModel,
     PhasorVector,
@@ -89,6 +90,16 @@ class TestSampleBase:
         assert type(base.modulus) is int
         save_base(base, tmp_path / "base.json")
         assert load_base(tmp_path / "base.json").modulus == 5
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_base_keeps_a_read_only_copy(self, dtype):
+        caller = np.array([1, 2, 4], dtype=dtype)
+        base = ModulusBase(5, caller)
+        assert base.phase_indices.dtype == np.int64 and not base.phase_indices.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            base.phase_indices[0] = 3
+        caller[0] = 3  # the caller's array is neither frozen nor shared
+        assert base.phase_indices.tolist() == [1, 2, 4]
 
     @pytest.mark.parametrize("indices", [np.array([[1, 2], [3, 4]]), np.array([], dtype=np.int64)])
     def test_base_rejects_non_1d_or_empty_indices(self, indices):
@@ -237,6 +248,28 @@ class TestPhaseNormalize:
         mags = np.abs(vals)
         want = np.where(mags > 0.0, vals / np.where(mags > 0.0, mags, 1.0), 1.0 + 0.0j)
         assert phase_normalize(vals).values.tobytes() == want.tobytes()
+
+
+    @given(data=strategies.data(), D=strategies.integers(0, 64))
+    def test_bits_equal_division_on_finite_inputs(self, data, D):
+        finite = strategies.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300, allow_nan=False,
+                                            allow_infinity=False)
+        vals = data.draw(arrays(np.complex128, D, elements=finite))
+        want = vals / np.abs(vals)
+        assert phase_normalize(vals).values.tobytes() == want.tobytes()
+        assert _unit_into(vals, vals) is vals and vals.tobytes() == want.tobytes()  # in place
+
+    @given(data=strategies.data(), D=strategies.integers(1, 64))
+    def test_zero_and_nan_patch(self, data, D):
+        special = strategies.sampled_from([0j, complex(-0.0, -0.0), complex(math.nan, 1.0), complex(0.0, math.nan)])
+        finite = strategies.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300, allow_nan=False,
+                                            allow_infinity=False)
+        vals = data.draw(arrays(np.complex128, D, elements=strategies.one_of(special, finite)))
+        mags = np.abs(vals)
+        unset = ~(mags > 0.0)
+        want = np.where(unset, 1.0 + 0.0j, vals / np.where(unset, 1.0, mags))
+        assert phase_normalize(vals).values.tobytes() == want.tobytes()
+        assert _unit_into(vals, vals).tobytes() == want.tobytes()
 
 
 class TestPhaseNoise:

@@ -73,6 +73,16 @@ class TestMakeResidueSystem:
         sys = make_residue_system([199, 200, 201], 16, seed=1)
         assert sys.range_M == 7_999_800
 
+    def test_float_modulus_rejected(self):
+        # 3.5 was once truncated to 3
+        with pytest.raises(ValueError, match="integer"):
+            make_residue_system([3.5, 5], 8, 0)
+
+    def test_numpy_moduli_accepted(self):
+        sys, want = make_residue_system([np.int64(3), np.int32(5)], 8, 0), make_residue_system([3, 5], 8, 0)
+        assert sys.moduli == (3, 5) and all(type(m) is int for m in sys.moduli)
+        assert system_to_dict(sys) == system_to_dict(want)
+
     def test_reproducible(self):
         a = make_residue_system([3, 5], 32, seed=5)
         b = make_residue_system([3, 5], 32, seed=5)
@@ -337,6 +347,79 @@ class TestMultiply:
         a, b, c = sys.encode_factors(12345)
         with pytest.raises(ValueError, match="exact period limit"):
             hadamard(hadamard(a, b), c)
+
+
+class TestDerivedConstantsCached:
+    """A system keeps its anti-bases and the indices of encode(1); each answer has the bits of the chains they replace."""
+
+    @staticmethod
+    def chain(parts):
+        out = None
+        for part in parts:
+            out = part if out is None else hadamard(out, part)
+        return out
+
+    @given(sys=prime_systems(), pairs=strategies.lists(strategies.tuples(integers, integers), min_size=2, max_size=4))
+    def test_multiply_equals_anti_base_chain(self, sys, pairs):
+        for x1, x2 in pairs:  # the first call fills the cache, the rest read it
+            a, b = sys.encode_factors(x1), sys.encode_factors(x2)
+            want = self.chain(f_op(f_op(fa, fb), anti_base(base)) for base, fa, fb in zip(sys.bases, a, b))
+            got = multiply(sys, a, b)
+            assert (got.period, got.indices.tobytes()) == (want.period, want.indices.tobytes())
+
+    @given(moduli=coprime_moduli(), D=strategies.integers(1, 24), seed=strategies.integers(0, 2**16),
+           xs=strategies.lists(strategies.integers(-10**30, 10**30), min_size=2, max_size=4))
+    def test_encode_equals_factor_chain(self, moduli, D, seed, xs):
+        sys = make_residue_system(moduli, D, seed)
+        M = sys.range_M
+        for x in xs + [M, M + 1, -1, -M - 1]:
+            want, got = self.chain(sys.encode_factors(x)), sys.encode(x)
+            assert (got.period, got.indices.tobytes()) == (want.period, want.indices.tobytes())
+
+    def test_anti_base_runs_once_per_system(self, monkeypatch):
+        calls = []
+
+        def counted(base):
+            calls.append(base)
+            return anti_base(base)
+
+        monkeypatch.setattr("residuehd.residue.anti_base", counted)
+        systems = [make_residue_system([3, 5, 7], 16, seed=s, nonzero_only=True) for s in (1, 2)]
+        for sys in systems:
+            for x in range(4):
+                multiply(sys, sys.encode_factors(x), sys.encode(x + 1))
+        assert [id(b) for b in calls] == [id(b) for sys in systems for b in sys.bases]
+
+    @pytest.mark.parametrize("bases, match", [
+        ([ModulusBase(4, np.array([1, 3])), ModulusBase(9, np.array([2, 5]))], "prime"),
+        ([ModulusBase(5, np.array([1, 2])), ModulusBase(7, np.array([3, 0]))], "nonzero"),
+    ], ids=["composite", "zero-index"])
+    def test_failed_multiply_keeps_nothing(self, bases, match):
+        sys = ResidueSystem(bases)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=match):
+                multiply(sys, sys.encode_factors(1), sys.encode_factors(1))
+
+    def test_encode_beyond_exact_limit_raises_every_call(self):
+        sys = make_residue_system((2, 1518500251), 8, seed=3)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="exact period limit"):
+                sys.encode(5)
+
+    def test_records_hold_no_cache(self):
+        sys = make_residue_system([3, 5, 7], 16, seed=4, nonzero_only=True)
+        before = json.dumps(system_to_dict(sys))
+        multiply(sys, sys.encode(2), sys.encode(3))
+        assert json.dumps(system_to_dict(sys)) == before
+
+    def test_bases_cannot_change_under_a_cache(self):
+        indices = np.array([1, 2, 3, 4])
+        sys = ResidueSystem([ModulusBase(5, indices), ModulusBase(7, np.array([6, 5, 4, 3]))])
+        want = sys.encode(9)
+        indices[0] = 3  # the caller's array stays writable, and the base keeps its own copy
+        assert sys.encode(9) == want
+        with pytest.raises(ValueError, match="read-only"):
+            sys.bases[0].phase_indices[0] = 3
 
 
 class TestResidueKernel:

@@ -127,6 +127,24 @@ class TestCodebooks:
         assert cb.coefficients(h).tobytes() == cb.project(x).tobytes()
         assert out.tobytes() == phase_normalize(h).values[u].tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=strategies.data(), m=strategies.integers(1, 12), D=strategies.integers(1, 96),
+           seed=strategies.integers(0, 2**16))
+    def test_steps_equal_normalized_summaries(self, data, m, D, seed):
+        # each step writes into one row of a stack of estimates, as the sweep does
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=D) + 1j * rng.normal(size=D)
+        entry = strategies.complex_numbers(max_magnitude=1e6)
+        dense = Codebook(data.draw(arrays(np.complex128, (m, D), elements=entry)))
+        out = np.empty((2, D), dtype=np.complex128)
+        c = dense.step(x, out[1])
+        assert c.tobytes() == dense.project(x).tobytes()
+        assert out[1].tobytes() == phase_normalize(c @ dense.matrix).values.tobytes()
+        modular = ModularCodebook(m, rng.integers(0, m, D))
+        h = modular.step(x, out[0])
+        assert h.tobytes() == modular._group_sum(x).tobytes()  # the summary is not normalized
+        assert out[0].tobytes() == phase_normalize(h).values[modular.phase_indices].tobytes()
+
     def test_modular_codebook_rejects_non_1d_indices(self):
         with pytest.raises(ValueError, match="1-D"):
             ModularCodebook(5, np.zeros((2, 3), dtype=np.int64))

@@ -105,6 +105,30 @@ class TestFeatureMaps:
         with pytest.raises(ValueError):
             FeatureMaps(grid=grid, channels=channels)
 
+    @pytest.mark.parametrize("grid, channels", [
+        ((True, 4), {}),
+        ((4, 4), {True: ()}),
+        ((4, 4), {0: ((True, 1, 1.0),)}),
+        ((4, 4), {0: ((1, False, 1.0),)}),
+    ], ids=["grid", "channel-id", "x", "y"])
+    def test_bool_rejected(self, grid, channels):
+        # a bool was once read as 1 or 0
+        with pytest.raises(ValueError, match="must be integers"):
+            FeatureMaps(grid=grid, channels=channels)
+
+    @pytest.mark.parametrize("grid, channels", [
+        ([True, 4], []),
+        ([4, 4], [{"id": True, "coeffs": []}]),
+        ([4, 4], [{"id": 0, "coeffs": [[True, 1, 1.0]]}]),
+        ([4, 4], [{"id": 0, "coeffs": [[1, False, 1.0]]}]),
+    ], ids=["grid", "channel-id", "x", "y"])
+    def test_json_bool_rejected(self, tmp_path, grid, channels):
+        # JSON true and false were once loaded as 1 and 0, except as a channel id
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"grid": grid, "channels": channels}))
+        with pytest.raises(ValueError):
+            load_feature_maps(path)
+
 
 class TestSceneEncoding:
     def test_empty_maps_zero_vector(self):

@@ -37,6 +37,17 @@ class TestInstance:
         with pytest.raises(ValueError):
             SubsetSumInstance(items=(3, 4), target=5, ground_truth=(0,))
 
+    @pytest.mark.parametrize("fields", [
+        dict(items=(True, 2), target=3),
+        dict(items=(1, 2), target=True),
+        dict(items=(1, 2), target=3, ground_truth=(False, True)),
+        dict(items=(1, 2), target=3, seed=True),
+    ], ids=["items", "target", "ground_truth", "seed"])
+    def test_bool_rejected(self, fields):
+        # a bool was once read as 1 or 0
+        with pytest.raises(ValueError, match="integers"):
+            SubsetSumInstance(**fields)
+
     def test_ground_truth_accepted(self):
         inst = SubsetSumInstance(items=(3, 4, 5), target=8, ground_truth=(0, 2))
         assert inst.ground_truth == (0, 2)
@@ -241,6 +252,19 @@ class TestInstanceFiles:
         {"items": [1, 2], "target": 3, "ground_truth": 1},
     ])
     def test_malformed_file_rejected(self, tmp_path, doc):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_instance(path)
+
+    @pytest.mark.parametrize("doc", [
+        {"items": [True, 2], "target": 3},
+        {"items": [1, 2], "target": True},
+        {"items": [1, 2], "target": 3, "ground_truth": [False, True]},
+        {"items": [1, 2], "target": 3, "seed": True},
+    ], ids=["items", "target", "ground_truth", "seed"])
+    def test_json_bool_rejected(self, tmp_path, doc):
+        # JSON true and false were once loaded as 1 and 0
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
