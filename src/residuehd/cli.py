@@ -169,6 +169,26 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
         fh.write("\n")
 
 
+def _check_file_value(key: str, default, value) -> None:
+    """ValueError unless a config-file value has the type of its key's default.
+
+    An int key takes an int (not a bool), a float key an int or a float, a list
+    key a list of ints, and a key whose default is None also takes null; kappa
+    also takes the string "inf".
+    """
+    if value is None and default is None:
+        return
+    typ = _NONE_DEFAULT_TYPES[key] if default is None else type(default)
+    if typ is list:
+        ok, want = type(value) is list and all(type(v) is int for v in value), "a list of integers"
+    elif typ is float:
+        ok, want = type(value) in (int, float) or (key == "kappa" and value == "inf"), "a number"
+    else:
+        ok, want = type(value) is typ, "an integer"
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+
+
 def _resolve_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
     cfg = dict(DEFAULTS[command])
     if file_cfg:
@@ -178,10 +198,12 @@ def _resolve_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_file_value(key, cfg[key], value)
         cfg.update(file_cfg)
     cfg.update({k: v for k, v in flag_cfg.items() if v is not None})
-    if isinstance(cfg.get("kappa"), str):
-        cfg["kappa"] = math.inf if cfg["kappa"] == "inf" else float(cfg["kappa"])
+    if cfg.get("kappa") == "inf":
+        cfg["kappa"] = math.inf
     # flags below 1 leave a run nothing to do: rejected by name before any write
     at_least_one = {"capacity": ("K",), "hex": ("max_m",), "subint": ("r",), "scene": ("objects", "features"),
                     "baselines": ("thermo_D", "float_D", "float_w", "scatter_D", "scatter_seeds")}

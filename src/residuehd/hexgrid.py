@@ -31,7 +31,7 @@ import numpy as np
 
 from .phasor import ModulusBase, PhasorVector, centered_indices, hadamard, sample_base, similarity
 from .residue import ResidueSystem, _child_seeds, crt_reconstruct
-from .resonator import ResonatorConfig, build_residue_codebooks, resonator_factorize
+from .resonator import ModularCodebook, ResonatorConfig, resonator_factorize
 
 __all__ = [
     "PSI",
@@ -62,12 +62,12 @@ def hex_project(x) -> np.ndarray:
 
 
 def encode_cartesian(axis_systems: Sequence[ResidueSystem], x: Sequence[int]) -> PhasorVector:
-    """Hadamard product of independent per-axis residue encodings."""
+    """Hadamard product of independent per-axis residue encodings of integer coordinates."""
     if len(axis_systems) != len(x):
         raise ValueError("one coordinate per axis system required")
     out = None
     for sys_i, x_i in zip(axis_systems, x):
-        enc = sys_i.encode(int(x_i))
+        enc = sys_i.encode(x_i)
         out = enc if out is None else hadamard(out, enc)
     return out
 
@@ -115,8 +115,7 @@ class HexSystem:
         triplets = [sample_hex_base(m, D, _child_seeds(seed, (k,))[0]) for k, m in enumerate(moduli)]
         self.directions = tuple(ResidueSystem(t[d] for t in triplets) for d in range(3))
         # modulus-major: the three direction books of modulus k sit at 3k, 3k+1, 3k+2
-        per_direction = [build_residue_codebooks(d) for d in self.directions]
-        self._books = [book for books in zip(*per_direction) for book in books]
+        self._books = [ModularCodebook(b) for t in triplets for b in t]
 
     @property
     def moduli(self) -> tuple[int, ...]:

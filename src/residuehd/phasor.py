@@ -199,8 +199,13 @@ class NoiseModel:
 def sample_base(m: int, D: int, seed: int, nonzero_only: bool = False) -> ModulusBase:
     """Draw D i.i.d. phase indices uniform over Z_m (or Z_m without 0).
 
-    Deterministic for a fixed seed. Raises ValueError for m < 2 or D < 1.
+    Deterministic for a fixed seed. Raises ValueError unless m and D are
+    integers (not bools) with m >= 2 and D >= 1.
     """
+    try:
+        m, D = _index(m), _index(D)
+    except TypeError as exc:
+        raise ValueError(f"modulus and D must be integers: {exc}") from None
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     rng = np.random.default_rng(seed)
@@ -215,11 +220,13 @@ def identity_vector(D: int) -> PhasorVector:
 def encode_integer(base: ModulusBase, x: int) -> PhasorVector:
     """z(x) = z^x in exact form: component j gets index (u_j * x) mod m.
 
-    Periodic in x with period m, so x and x + m encode identically.
+    Periodic in x with period m, so x and x + m encode identically. x must
+    be an integer (a Python or numpy int, not a bool); a float raises
+    TypeError rather than being truncated.
     """
-    x_red = int(x) % base.modulus
-    idx = (base.phase_indices * x_red) % base.modulus
-    return PhasorVector.exact(idx, base.modulus)
+    m = base.modulus
+    # u * (x mod m) < m^2 fits int64 by the exact period limit, and exact() reduces it mod m
+    return PhasorVector.exact(base.phase_indices * (_index(x) % m), m)
 
 
 def centered_indices(base: ModulusBase) -> np.ndarray:

@@ -34,6 +34,7 @@ import numpy as np
 from .phasor import (
     ModulusBase,
     PhasorVector,
+    _index,
     base_from_dict,
     base_to_dict,
     conjugate,
@@ -86,12 +87,12 @@ class ResidueSystem:
 
     The bases are the whole state: the moduli (as ints) and D are read from them.
     Two constants derived from the bases are built on first use and kept, since
-    the bases cannot change: the anti-bases that :func:`multiply` reads, and the
-    indices of encode(1), from which :meth:`encode` scales every other integer.
+    the bases cannot change: the anti-bases that :func:`multiply` reads, and
+    :attr:`composed_base`, the composed code as one modular code of modulus M.
     A call that raises keeps nothing, and a record holds neither.
     """
 
-    __slots__ = ("moduli", "dim", "bases", "_anti_bases", "_unit_indices")
+    __slots__ = ("moduli", "dim", "bases", "_anti_bases", "_composed_base")
 
     def __init__(self, bases: Iterable[ModulusBase]):
         self.bases = tuple(bases)
@@ -104,7 +105,7 @@ class ResidueSystem:
             raise ValueError(f"modulus must be >= 2, got {min(self.moduli)}")
         _check_pairwise_coprime(self.moduli)
         self._anti_bases = None  # anti_base of each base, kept by the first multiply
-        self._unit_indices = None  # indices of encode(1), kept by the first encode
+        self._composed_base = None  # kept by the first read of composed_base
 
     @property
     def range_M(self) -> int:
@@ -114,24 +115,31 @@ class ResidueSystem:
     def codebook_budget_b(self) -> int:
         return sum(self.moduli)
 
-    def encode_factors(self, x: int) -> list[PhasorVector]:
-        """Per-modulus exact encodings [z_{m_1}(x), ..., z_{m_K}(x)]."""
-        return [encode_integer(b, x) for b in self.bases]
+    @property
+    def composed_base(self) -> ModulusBase:
+        """The composed code as one modular code: modulus M and the indices w of z(1).
 
-    def encode(self, x: int) -> PhasorVector:
-        """Composed exact encoding with period M = prod(moduli).
-
-        Raises ValueError when M exceeds the exact period limit.
+        Over co-prime moduli z(x) = z(1)^x, so the hadamard chain of
+        encode_factors(x) has indices w * x mod M. Raises ValueError when M
+        exceeds the exact period limit.
         """
-        if self._unit_indices is None:
+        if self._composed_base is None:
             one = None
             for f in self.encode_factors(1):
                 one = f if one is None else hadamard(one, f)
-            self._unit_indices = one.indices
-        # z(x) = z(1)^x: the same indices as the hadamard chain of encode_factors(x),
-        # and w * (x mod M) < M^2 fits int64 by the exact period limit
-        M = self.range_M
-        return PhasorVector.exact(self._unit_indices * (int(x) % M), M)
+            self._composed_base = ModulusBase(one.period, one.indices)
+        return self._composed_base
+
+    def encode_factors(self, x: int) -> list[PhasorVector]:
+        """Per-modulus exact encodings [z_{m_1}(x), ..., z_{m_K}(x)] of an integer x."""
+        return [encode_integer(b, x) for b in self.bases]
+
+    def encode(self, x: int) -> PhasorVector:
+        """Composed exact encoding of an integer x, with period M = prod(moduli).
+
+        Raises ValueError when M exceeds the exact period limit.
+        """
+        return encode_integer(self.composed_base, x)
 
     def split(self, v: PhasorVector) -> list[PhasorVector]:
         """Per-modulus factors of an exact composed vector; inverts :meth:`encode`.
@@ -258,9 +266,13 @@ def multiply_by_constant_inverse(sys: ResidueSystem, v: PhasorVector, c: int) ->
 
 
 def crt_reconstruct(residues: Sequence[int], moduli: Sequence[int]) -> int:
-    """Unique x in [0, M) with x = r_k (mod m_k) for all k."""
-    residues = [int(r) for r in residues]
-    moduli = [int(m) for m in moduli]
+    """Unique x in [0, M) with x = r_k (mod m_k) for all k.
+
+    Residues and moduli must be integers (Python or numpy ints); a float or
+    bool raises TypeError rather than being truncated.
+    """
+    residues = [_index(r) for r in residues]
+    moduli = [_index(m) for m in moduli]
     if len(residues) != len(moduli):
         raise ValueError("residues and moduli must have the same length")
     _check_pairwise_coprime(moduli)

@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasor import NoiseModel, PhasorVector, _unit_into, add_phase_noise
+from .phasor import ModulusBase, NoiseModel, PhasorVector, _index, _unit_into, add_phase_noise
 from .residue import ResidueSystem, _child_seeds, _is_prime, crt_reconstruct, make_residue_system
 
 __all__ = [
@@ -132,10 +132,12 @@ class Codebook:
 
 
 class ModularCodebook:
-    """Entries z(0) .. z(m-1) of one modulus, held as (m, phase indices u).
+    """Entries z(0) .. z(m-1) of one modular code, read from its ModulusBase.
 
     Entry r has component j at the m-th root of unity of index
-    (u_j * r) mod m. A step's summary is h = bincount(u, x, m), from which
+    (u_j * r) mod m. The base is already checked, and the book keeps its
+    modulus and read-only indices as they are, adding only what it derives
+    from them. A step's summary is h = bincount(u, x, m), from which
     coefficients() gives conj(Z) @ x = fft(h), and its cleanup is
     m * h[u] (see the module docstring): O(D + m) time per step and
     O(D) memory, with the length-m DFT left to whoever reads a label.
@@ -143,15 +145,8 @@ class ModularCodebook:
 
     __slots__ = ("modulus", "phase_indices", "_roots", "_interleaved")
 
-    def __init__(self, modulus: int, phase_indices):
-        m = int(modulus)
-        if m < 1:
-            raise ValueError(f"modulus must be >= 1, got {m}")
-        u = np.asarray(phase_indices, dtype=np.int64)
-        if u.ndim != 1 or u.shape[0] == 0:
-            raise ValueError(f"phase indices must be 1-D with dim >= 1, got shape {u.shape}")
-        self.modulus = m
-        self.phase_indices = u % m
+    def __init__(self, base: ModulusBase):
+        self.modulus, self.phase_indices = base.modulus, base.phase_indices
         # x viewed as float64 pairs puts Re x_j at 2j and Im x_j at 2j + 1, so
         # bins 2u and 2u + 1 sum the real and imaginary parts in one bincount,
         # each bin in the same order as a bincount per part
@@ -229,7 +224,8 @@ class ResonatorConfig:
     reaches ALPHA. An attempt is accepted when the Hadamard product of
     the codebook entries it decoded has cosine at least VERIFY_THRESHOLD
     with the input; otherwise the loop restarts from fresh random
-    phases, up to max_restarts times. `verify` is accepted for old
+    phases, up to max_restarts times. Both counts must be integers (a
+    float or bool raises ValueError). `verify` is accepted for old
     callers only and must be True.
     """
 
@@ -241,6 +237,10 @@ class ResonatorConfig:
     def __post_init__(self, verify):
         if not verify:
             raise ValueError("every resonator run verifies its answer; verify=False is not supported")
+        try:
+            self.max_iters, self.max_restarts = _index(self.max_iters), _index(self.max_restarts)
+        except TypeError as exc:
+            raise ValueError(f"max_iters and max_restarts must be integers: {exc}") from None
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.max_restarts < 0:
@@ -274,7 +274,7 @@ class ResonatorState:
 
 def build_residue_codebooks(sys: ResidueSystem) -> list[ModularCodebook]:
     """One codebook per modulus: row r is z_m(r)."""
-    return [ModularCodebook(base.modulus, base.phase_indices) for base in sys.bases]
+    return [ModularCodebook(b) for b in sys.bases]
 
 
 def codebook_decode(v, codebook: Codebook) -> int:

@@ -175,11 +175,10 @@ class SceneCodec:
         self.n_features = n_features
         rng = np.random.default_rng(seed)
         self.feature_vectors = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_features, self.dim)))
-        # A standard-layout codebook holds the encodings 0 .. M-1 of one
-        # axis: encode(x) has phase indices (w * x) mod M with w the indices
-        # of encode(1), which is the modular codebook of modulus M and base w.
+        # a standard-layout codebook holds the encodings 0 .. M-1 of one axis,
+        # the modular codebook of that axis's composed base
         self.layouts = {
-            "standard": [ModularCodebook(s.range_M, s.encode(1).indices) for s in (hsys, vsys)],
+            "standard": [ModularCodebook(s.composed_base) for s in (hsys, vsys)],
             "residue": build_residue_codebooks(hsys) + build_residue_codebooks(vsys),
         }
 

@@ -145,18 +145,16 @@ def generate_instance(n: int, sys: ResidueSystem, seed: int) -> SubsetSumInstanc
 
 
 def build_factors(S: Sequence[int], sys: ResidueSystem) -> list[Codebook]:
-    """One two-entry codebook per item: row 0 is z(0), row 1 is z(S_k).
+    """One two-entry codebook per item: row 0 is z(0) = 1, row 1 is z(S_k).
 
-    All rows come from one exact encoding: z(s) has phase indices
-    (w * s) mod M with w those of z(1), the same indices and so the same
-    bits as sys.encode(s). With s reduced mod M, w * s < M^2 fits in
-    int64 by the exact period limit. z(0) is 1 + 0j in every component.
+    Row 1 of every item is sys.encode(S_k), bit for bit, built in one exact
+    vector from the indices of sys.composed_base.
     """
-    M = sys.range_M
-    w = sys.encode(1).indices
+    base = sys.composed_base
+    M = base.modulus
     s = np.array([int(x) % M for x in S], dtype=np.int64)
     rows = np.ones((s.shape[0], 2, sys.dim), dtype=np.complex128)
-    rows[:, 1] = PhasorVector.exact((w * s[:, None]) % M, M).values
+    rows[:, 1] = PhasorVector.exact(base.phase_indices * s[:, None], M).values
     return [Codebook(r) for r in rows]
 
 

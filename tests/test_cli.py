@@ -218,3 +218,47 @@ class TestFailedRuns:
         assert main(argv + ["--out", str(out)]) != 0
         assert f"error: {flag} must be" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestConfigFileTypes:
+    """A config-file value of another type than its default is named and rejected before any write."""
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("noise", "max_iters", 2.5),
+            ("noise", "trials", 2.5),
+            ("noise", "trials", True),
+            ("noise", "seed", "0"),
+            ("noise", "moduli", [11, 13.0]),
+            ("noise", "moduli", "11,13"),
+            ("noise", "kappa", "8"),
+            ("noise", "kappa", False),
+            ("scene", "restarts", 1.5),
+            ("capacity", "max_M", 500.0),
+            ("capacity", "stop_threshold", "0.5"),
+            ("kernel", "lo", None),
+        ],
+        ids=["int-float", "trials-float", "int-bool", "int-str", "list-float", "list-str", "kappa-str",
+             "float-bool", "scene-restarts", "none-int", "none-float", "float-null"],
+    )
+    def test_mistyped_value_rejected(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: config key '{key}' must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, want",
+        [("kappa", "inf", "inf"), ("kappa", 8, 8), ("stop_threshold", 1, 1), ("max_M", None, None),
+         ("max_M", 200, 200)],
+        ids=["kappa-inf", "float-int", "none-float-int", "none-null", "none-int"],
+    )
+    def test_typed_value_accepted(self, tmp_path, key, value, want):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"D": 64, "trials": 2, "max_M": 30, key: value}))
+        out = tmp_path / "o"
+        assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"][key] == want

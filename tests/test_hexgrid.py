@@ -119,6 +119,13 @@ class TestHexEncoding:
             shifted = [c + 1 for c in y]
             assert hs.encode(y) == hs.encode(shifted)
 
+    def test_non_integer_coordinate_raises(self):
+        # encode_cartesian once truncated 1.7 to 1
+        hs = HexSystem(5, 64, seed=5)
+        with pytest.raises(TypeError):
+            hs.encode((1.7, 0, 0))
+        assert hs.encode(np.array([1, 0, 0])) == hs.encode((1, 0, 0))
+
     def test_path_independence(self):
         hs = HexSystem(7, 256, seed=7)
         # the same multiset of unit steps in any order, with a full
@@ -237,12 +244,12 @@ class TestHexEncoding:
             assert decoded == canonical(y)
 
     def test_codebooks_built_once(self, monkeypatch):
-        from residuehd import resonator
+        from residuehd import hexgrid
         from residuehd.resonator import ResonatorConfig
 
-        builder = resonator.ModularCodebook
+        builder = hexgrid.ModularCodebook
         built = []
-        monkeypatch.setattr(resonator, "ModularCodebook", lambda m, u: built.append(m) or builder(m, u))
+        monkeypatch.setattr(hexgrid, "ModularCodebook", lambda base: built.append(base.modulus) or builder(base))
         hs = HexSystem((3, 5), 1024, seed=17)
         for t, y in enumerate([(1, 2, 0), (4, 0, 3)]):
             hs.decode(hs.encode(y), ResonatorConfig(max_iters=30, max_restarts=5, seed=t))

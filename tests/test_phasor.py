@@ -66,6 +66,13 @@ class TestSampleBase:
         with pytest.raises(ValueError):
             sample_base(5, 0, seed=0)
 
+    @pytest.mark.parametrize("m, D", [("5", 8), (5, 8.0), (True, 8), (5, True)],
+                             ids=["str-modulus", "float-D", "bool-modulus", "bool-D"])
+    def test_non_integer_parameters_raise_value_error(self, m, D):
+        # a string modulus once reached `m < 2`, and a float D numpy, both as TypeError
+        with pytest.raises(ValueError, match="must be integers"):
+            sample_base(m, D, seed=0)
+
     def test_base_invariants(self):
         with pytest.raises(ValueError):
             ModulusBase(modulus=5, phase_indices=np.array([0, 2, 5]))

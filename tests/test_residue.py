@@ -119,6 +119,26 @@ class TestEncode:
         with pytest.raises(ValueError, match="exact period limit"):
             sys.encode(5)
 
+    @pytest.mark.parametrize("x", [2.7, 2.0, np.float64(3.0), True, "2"])
+    def test_non_integer_raises(self, sys357, x):
+        # encode and encode_factors (so encode_integer) once truncated 2.7 to 2
+        for encode in (sys357.encode, sys357.encode_factors):
+            with pytest.raises(TypeError):
+                encode(x)
+
+    def test_numpy_integers_encode_like_ints(self, sys357):
+        for x in (np.int64(-9), np.int32(212), np.uint16(400)):
+            assert sys357.encode(x) == sys357.encode(int(x))
+            assert sys357.encode_factors(x) == sys357.encode_factors(int(x))
+
+    def test_composed_base_is_the_code_of_encode_1(self, sys357):
+        base = sys357.composed_base
+        assert base is sys357.composed_base  # built once and kept
+        assert isinstance(base, ModulusBase) and base.modulus == 105 and type(base.modulus) is int
+        assert base.phase_indices.tobytes() == sys357.encode(1).indices.tobytes()
+        for x in (0, 1, 52, 104, 105, -3):
+            assert sys357.encode(x) == encode_integer(base, x)
+
     def test_rational_matches_integer(self, sys357):
         assert np.allclose(sys357.encode_rational(17.0).values, sys357.encode(17).values, atol=1e-12)
 
@@ -350,7 +370,7 @@ class TestMultiply:
 
 
 class TestDerivedConstantsCached:
-    """A system keeps its anti-bases and the indices of encode(1); each answer has the bits of the chains they replace."""
+    """A system keeps its anti-bases and its composed base; each answer has the bits of the chains they replace."""
 
     @staticmethod
     def chain(parts):
@@ -499,6 +519,19 @@ class TestCRT:
         residues = [data.draw(strategies.integers(0, m - 1)) for m in moduli]
         y = crt_reconstruct(residues, moduli)
         assert 0 <= y < M and [y % m for m in moduli] == residues
+
+    @pytest.mark.parametrize("residues, moduli", [
+        ([1.9, 2, 3], (3, 5, 7)),  # once truncated to 1, giving 52
+        ([1, 2, 3], (3.0, 5, 7)),
+        ([True, 2, 3], (3, 5, 7)),
+        ([1, 2, 3], (3, 5, True)),
+    ], ids=["float-residue", "float-modulus", "bool-residue", "bool-modulus"])
+    def test_non_integers_raise(self, residues, moduli):
+        with pytest.raises(TypeError):
+            crt_reconstruct(residues, moduli)
+
+    def test_numpy_integers_accepted(self):
+        assert crt_reconstruct(np.array([2, 0, 6]), np.array([3, 5, 7], dtype=np.int32)) == 20
 
     def test_errors(self):
         with pytest.raises(ValueError):

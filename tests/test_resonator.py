@@ -84,7 +84,7 @@ class TestCodebooks:
         # the group-sum step against the matrix products on the dense rows
         rng = np.random.default_rng(seed)
         base = ModulusBase(m, rng.integers(0, m, D))
-        cb = ModularCodebook(m, base.phase_indices)
+        cb = ModularCodebook(base)
         assert (cb.n_entries, cb.dim) == (m, D)
         dense = np.stack([encode_integer(base, r).values for r in range(m)])
         assert np.array_equal(cb.matrix, dense)  # built from row(r)
@@ -113,7 +113,7 @@ class TestCodebooks:
     def test_group_sum_step_bits(self, m, D, kind, seed):
         # the interleaved group sum against one bincount per part, bit for bit
         rng = np.random.default_rng(seed)
-        cb = ModularCodebook(m, rng.integers(0, m, D))
+        cb = ModularCodebook(ModulusBase(m, rng.integers(0, m, D)))
         u = cb.phase_indices
         if kind == "real":
             x = rng.normal(size=D)
@@ -140,18 +140,18 @@ class TestCodebooks:
         c = dense.step(x, out[1])
         assert c.tobytes() == dense.project(x).tobytes()
         assert out[1].tobytes() == phase_normalize(c @ dense.matrix).values.tobytes()
-        modular = ModularCodebook(m, rng.integers(0, m, D))
+        modular = ModularCodebook(ModulusBase(m, rng.integers(0, m, D)))
         h = modular.step(x, out[0])
         assert h.tobytes() == modular._group_sum(x).tobytes()  # the summary is not normalized
         assert out[0].tobytes() == phase_normalize(h).values[modular.phase_indices].tobytes()
 
     def test_modular_codebook_rejects_non_1d_indices(self):
         with pytest.raises(ValueError, match="1-D"):
-            ModularCodebook(5, np.zeros((2, 3), dtype=np.int64))
+            ModularCodebook(ModulusBase(5, np.zeros((2, 3), dtype=np.int64)))
 
     def test_modular_codebook_rejects_zero_dim(self):
-        with pytest.raises(ValueError, match="dim >= 1"):
-            ModularCodebook(5, np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="non-empty"):
+            ModularCodebook(ModulusBase(5, np.zeros(0, dtype=np.int64)))
 
     def test_codebook_rejects_no_entries(self):
         with pytest.raises(ValueError, match="at least one entry"):
@@ -193,7 +193,7 @@ class TestCodebookDecode:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_input_rejected(self, sys357, books357, bad):
-        large = ModularCodebook(499, sample_base(499, sys357.dim, 0).phase_indices)
+        large = ModularCodebook(sample_base(499, sys357.dim, 0))
         for book in (books357[1], large):
             v = np.ones(sys357.dim, dtype=complex)
             v[7] = bad
@@ -459,6 +459,15 @@ class TestFactorize:
         assert replace(cfg, seed=3) == ResonatorConfig(max_iters=7, seed=3)
         with pytest.raises(ValueError):
             replace(cfg, verify=False)
+
+    @pytest.mark.parametrize("field, value", [("max_iters", 2.5), ("max_iters", True), ("max_iters", "3"),
+                                              ("max_restarts", 1.5), ("max_restarts", True)])
+    def test_config_counts_must_be_integers(self, field, value):
+        # max_iters=2.5 was once accepted and failed later inside the sweep
+        with pytest.raises(ValueError, match="must be integers"):
+            ResonatorConfig(**{field: value})
+        cfg = ResonatorConfig(max_iters=np.int64(7), max_restarts=np.int32(2))
+        assert (type(cfg.max_iters), type(cfg.max_restarts)) == (int, int)
 
     def test_non_finite_input_rejected(self):
         sys = make_residue_system([3, 5], 64, seed=0)
