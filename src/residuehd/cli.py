@@ -479,6 +479,9 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 2
+        if not isinstance(file_cfg, dict):
+            print(f"error: config {args.config} must hold a JSON object", file=sys.stderr)
+            return 2
     # argparse dest names (dashes to underscores) match the config keys
     flag_cfg = {
         k: v

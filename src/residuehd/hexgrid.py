@@ -31,7 +31,7 @@ import numpy as np
 
 from .phasor import ModulusBase, PhasorVector, centered_indices, hadamard, sample_base, similarity
 from .residue import ResidueSystem, _child_seeds, crt_reconstruct
-from .resonator import ModularCodebook, ResonatorConfig, resonator_factorize
+from .resonator import ResonatorConfig, resonator_factorize
 
 __all__ = [
     "PSI",
@@ -105,7 +105,7 @@ class HexSystem:
     is one integer (a Python or numpy int) or an iterable of them.
     """
 
-    __slots__ = ("directions", "_books")
+    __slots__ = ("directions",)
 
     def __init__(self, moduli, D: int, seed: int):
         try:
@@ -114,8 +114,6 @@ class HexSystem:
             pass  # an iterable of moduli
         triplets = [sample_hex_base(m, D, _child_seeds(seed, (k,))[0]) for k, m in enumerate(moduli)]
         self.directions = tuple(ResidueSystem(t[d] for t in triplets) for d in range(3))
-        # modulus-major: the three direction books of modulus k sit at 3k, 3k+1, 3k+2
-        self._books = [ModularCodebook(b) for t in triplets for b in t]
 
     @property
     def moduli(self) -> tuple[int, ...]:
@@ -153,7 +151,9 @@ class HexSystem:
         of the three shifts that zero a coordinate. RuntimeError is
         raised when no attempt's decoded labels reproduce v.
         """
-        state = resonator_factorize(v, self._books, config or ResonatorConfig(max_iters=30, max_restarts=5))
+        # modulus-major: the three direction bases of modulus k sit at 3k, 3k+1, 3k+2
+        books = [b for triplet in zip(*(d.bases for d in self.directions)) for b in triplet]
+        state = resonator_factorize(v, books, config or ResonatorConfig(max_iters=30, max_restarts=5))
         if not state.converged:
             raise RuntimeError("resonator failed to factorize the hexagonal encoding")
         M = self.range_M

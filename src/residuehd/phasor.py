@@ -19,6 +19,9 @@ Two concrete vector forms share these semantics:
   for vectors carrying phase noise.
 
 Binding two exact vectors with periods L1, L2 yields period lcm(L1, L2).
+
+A ModulusBase is also the codebook of its modulus, the entries
+z(0) .. z(m-1), and carries the group-sum step the resonator runs on it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +159,13 @@ class ModulusBase:
     modulus of at most _MAX_PERIOD and a non-empty 1-D integer array of indices
     in [0, modulus), whose length is D. Anything else raises ValueError. The
     base keeps its own read-only int64 copy of the indices.
+
+    A base is also its modular codebook: entry r is z(r), the m-th roots of
+    unity of index (u_j * r) mod m, so the base fixes every entry. A
+    resonator step's summary is h = bincount(u, x, m), from which
+    coefficients() gives the m inner products conj(Z) @ x = fft(h), and its
+    cleanup is m * h[u]: O(D + m) time per step and O(D) memory, with the
+    length-m DFT left to whoever reads a label.
     """
 
     modulus: int
@@ -178,21 +189,75 @@ class ModulusBase:
         idx.setflags(write=False)
         object.__setattr__(self, "modulus", m)
         object.__setattr__(self, "phase_indices", idx)
+        # x viewed as float64 pairs puts Re x_j at 2j and Im x_j at 2j + 1, so
+        # bins 2u and 2u + 1 sum the real and imaginary parts in one bincount,
+        # each bin in the same order as a bincount per part
+        object.__setattr__(self, "_interleaved", np.stack([2 * idx, 2 * idx + 1], axis=1).ravel())
 
     @property
     def dim(self) -> int:
         return self.phase_indices.shape[0]
 
+    @property
+    def n_entries(self) -> int:
+        return self.modulus
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense rows, built on each request and not kept: a reference for tests."""
+        # written in place: a list of m rows would double the peak memory
+        rows = np.empty((self.modulus, self.dim), dtype=np.complex128)
+        for r in range(self.modulus):
+            rows[r] = self.row(r)
+        return rows
+
+    def _group_sum(self, x: np.ndarray) -> np.ndarray:
+        """h = bincount(u, x, m): the components of x summed per phase index."""
+        # a real or strided x would be misread through the float64 view
+        x = np.ascontiguousarray(x, dtype=np.complex128)
+        return np.bincount(self._interleaved, x.view(np.float64), 2 * self.modulus).view(np.complex128)
+
+    def coefficients(self, h: np.ndarray) -> np.ndarray:
+        """conj(Z) @ x from a step's summary h: its length-m DFT."""
+        return np.fft.fft(h)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """conj(Z) @ x: the inner product of every entry with x."""
+        return self.coefficients(self._group_sum(x))
+
+    def step(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the unit estimate g(m * h)[u] into out; return h."""
+        h = self._group_sum(x)
+        # g(m * h)[u] is g(h)[u]: g maps elementwise and the factor m moves no
+        # phase. h is kept whole, since labels are read from it. u is in [0, m),
+        # so mode="wrap" never wraps; unlike mode="raise" it writes into out
+        # directly, not through a temporary
+        _unit_into(h, np.empty_like(h)).take(self.phase_indices, out=out, mode="wrap")
+        return h
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        # the m roots of unity, built on the first row lookup and not before:
+        # a composed base's modulus can be in the millions
+        return PhasorVector.exact(np.arange(self.modulus), self.modulus).values
+
+    def row(self, i: int) -> np.ndarray:
+        """Entry i, z(i), looked up in the m roots of unity: the same bits as encode_integer."""
+        m = self.modulus
+        # component j is root (u_j * i) mod m: permute the m roots, then
+        # gather, so the index arithmetic is O(m) and the D-length work one lookup
+        return self._roots[(np.arange(m) * (i % m)) % m][self.phase_indices]
+
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Von Mises phase noise with concentration kappa (inf = no noise)."""
+    """Von Mises phase noise with concentration kappa (inf = no noise); NaN is rejected."""
 
     kappa: float
     seed: int = 0
 
     def __post_init__(self):
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
 
 

@@ -20,14 +20,15 @@ rebuilding every product of the other K-1 estimates.
 Decoding a residue-encoded integer is factorization over the
 per-modulus codebooks followed by Chinese-remainder reconstruction;
 this costs sum(m_k) inner products per sweep instead of the prod(m_k)
-of brute-force codebook decoding. Every residue codebook is a
-ModularCodebook. Its m inner products with a residual x are the DFT of
-h = bincount(u, x, m), x summed per phase index, and since that DFT is
-invertible the cleanup (conj(Z) @ x) @ Z is the group sum m * h[u].
+of brute-force codebook decoding. Every residue codebook is its
+ModulusBase, whose entries z(0) .. z(m-1) the base fixes. Its m inner
+products with a residual x are the DFT of h = bincount(u, x, m), x
+summed per phase index, and since that DFT is invertible the cleanup
+(conj(Z) @ x) @ Z is the group sum m * h[u].
 
 A step computes only what the next step reads: it writes the new
 estimate into the state's row and returns a summary (h for a
-ModularCodebook, the coefficients for a Codebook) from which
+ModulusBase, the coefficients for a Codebook) from which
 coefficients() gives the m inner products. A sweep reads no label, so
 resonator_factorize reads each factor's label from its last summary
 once per attempt: a modular step costs O(D + m) time and O(D) memory in
@@ -51,12 +52,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .kernels import analytic_kernel
 from .phasor import ModulusBase, NoiseModel, PhasorVector, _index, _unit_into, add_phase_noise
 from .residue import ResidueSystem, _child_seeds, _is_prime, crt_reconstruct, make_residue_system
 
 __all__ = [
     "Codebook",
-    "ModularCodebook",
     "ResonatorConfig",
     "ResonatorState",
     "build_residue_codebooks",
@@ -131,82 +132,6 @@ class Codebook:
         return f"{type(self).__name__}(n={self.n_entries}, D={self.dim})"
 
 
-class ModularCodebook:
-    """Entries z(0) .. z(m-1) of one modular code, read from its ModulusBase.
-
-    Entry r has component j at the m-th root of unity of index
-    (u_j * r) mod m. The base is already checked, and the book keeps its
-    modulus and read-only indices as they are, adding only what it derives
-    from them. A step's summary is h = bincount(u, x, m), from which
-    coefficients() gives conj(Z) @ x = fft(h), and its cleanup is
-    m * h[u] (see the module docstring): O(D + m) time per step and
-    O(D) memory, with the length-m DFT left to whoever reads a label.
-    """
-
-    __slots__ = ("modulus", "phase_indices", "_roots", "_interleaved")
-
-    def __init__(self, base: ModulusBase):
-        self.modulus, self.phase_indices = base.modulus, base.phase_indices
-        # x viewed as float64 pairs puts Re x_j at 2j and Im x_j at 2j + 1, so
-        # bins 2u and 2u + 1 sum the real and imaginary parts in one bincount,
-        # each bin in the same order as a bincount per part
-        self._interleaved = np.stack([2 * self.phase_indices, 2 * self.phase_indices + 1], axis=1).ravel()
-        # rows are looked up in the m roots of unity instead of one complex
-        # exp per component; the lookup gives the same bits as encode_integer.
-        # The table is built on the first lookup, so a book costs O(D) to build
-        self._roots = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense rows, built on each request and not kept: a reference for tests."""
-        # written in place: a list of m rows would double the peak memory
-        rows = np.empty((self.modulus, self.dim), dtype=np.complex128)
-        for r in range(self.modulus):
-            rows[r] = self.row(r)
-        return rows
-
-    @property
-    def n_entries(self) -> int:
-        return self.modulus
-
-    @property
-    def dim(self) -> int:
-        return self.phase_indices.shape[0]
-
-    def _group_sum(self, x: np.ndarray) -> np.ndarray:
-        """h = bincount(u, x, m): the components of x summed per phase index."""
-        # a real or strided x would be misread through the float64 view
-        x = np.ascontiguousarray(x, dtype=np.complex128)
-        return np.bincount(self._interleaved, x.view(np.float64), 2 * self.modulus).view(np.complex128)
-
-    def coefficients(self, h: np.ndarray) -> np.ndarray:
-        """conj(Z) @ x from a step's summary h: its length-m DFT."""
-        return np.fft.fft(h)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.coefficients(self._group_sum(x))
-
-    def step(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the unit estimate g(m * h)[u] into out; return h."""
-        h = self._group_sum(x)
-        # g(m * h)[u] is g(h)[u]: g maps elementwise and the factor m moves no
-        # phase. h is kept whole, since labels are read from it. u is in [0, m),
-        # so mode="wrap" never wraps; unlike mode="raise" it writes into out
-        # directly, not through a temporary
-        _unit_into(h, np.empty_like(h)).take(self.phase_indices, out=out, mode="wrap")
-        return h
-
-    def row(self, i: int) -> np.ndarray:
-        m = self.modulus
-        if self._roots is None:
-            self._roots = PhasorVector.exact(np.arange(m), m).values
-        # component j is root (u_j * i) mod m: permute the m roots, then
-        # gather, so the index arithmetic is O(m) and the D-length work one lookup
-        return self._roots[(np.arange(m) * (i % m)) % m][self.phase_indices]
-
-    __repr__ = Codebook.__repr__
-
-
 # successive-state similarity at which an attempt's sweeps stop
 ALPHA = 0.95
 
@@ -224,9 +149,10 @@ class ResonatorConfig:
     reaches ALPHA. An attempt is accepted when the Hadamard product of
     the codebook entries it decoded has cosine at least VERIFY_THRESHOLD
     with the input; otherwise the loop restarts from fresh random
-    phases, up to max_restarts times. Both counts must be integers (a
-    float or bool raises ValueError). `verify` is accepted for old
-    callers only and must be True.
+    phases, up to max_restarts times. Both counts, and the seed unless
+    it is None, must be integers (a float or bool raises ValueError),
+    and none may be negative. `verify` is accepted for old callers only
+    and must be True.
     """
 
     max_iters: int = 50
@@ -239,12 +165,16 @@ class ResonatorConfig:
             raise ValueError("every resonator run verifies its answer; verify=False is not supported")
         try:
             self.max_iters, self.max_restarts = _index(self.max_iters), _index(self.max_restarts)
+            if self.seed is not None:
+                self.seed = _index(self.seed)
         except TypeError as exc:
-            raise ValueError(f"max_iters and max_restarts must be integers: {exc}") from None
+            raise ValueError(f"max_iters, max_restarts and seed must be integers: {exc}") from None
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -272,9 +202,9 @@ class ResonatorState:
         self.labels = np.zeros(self.estimates.shape[0], dtype=np.int64)
 
 
-def build_residue_codebooks(sys: ResidueSystem) -> list[ModularCodebook]:
-    """One codebook per modulus: row r is z_m(r)."""
-    return [ModularCodebook(b) for b in sys.bases]
+def build_residue_codebooks(sys: ResidueSystem) -> list[ModulusBase]:
+    """One codebook per modulus, which is its base: row r is z_m(r)."""
+    return list(sys.bases)
 
 
 def codebook_decode(v, codebook: Codebook) -> int:
@@ -427,14 +357,6 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
     return state
 
 
-def _residue_books(sys: ResidueSystem, codebooks: Sequence[Codebook] | None) -> Sequence[Codebook]:
-    """sys's integer codebooks, built unless passed in; ValueError unless their sizes are sys's moduli."""
-    books = build_residue_codebooks(sys) if codebooks is None else codebooks
-    if [cb.n_entries for cb in books] != list(sys.moduli):
-        raise ValueError(f"codebook sizes {[cb.n_entries for cb in books]} do not match moduli {list(sys.moduli)}")
-    return books
-
-
 def decode_residue_number(
     sys: ResidueSystem,
     v,
@@ -443,12 +365,14 @@ def decode_residue_number(
 ):
     """Factorize a composed encoding and CRT-reconstruct x in [0, M).
 
-    Returns (x, state); inspect state.converged before trusting x.
-    Prebuilt codebooks amortize their construction over trials; their
-    sizes must be sys's moduli, in order, or ValueError is raised.
+    Returns (x, state); inspect state.converged before trusting x. The
+    codebooks are sys's bases unless others are passed in; their sizes
+    must be sys's moduli, in order, or ValueError is raised.
     """
-    books = _residue_books(sys, codebooks)
-    state = resonator_factorize(v, books, config)
+    codebooks = sys.bases if codebooks is None else codebooks
+    if [cb.n_entries for cb in codebooks] != list(sys.moduli):
+        raise ValueError(f"codebook sizes {[cb.n_entries for cb in codebooks]} do not match moduli {list(sys.moduli)}")
+    state = resonator_factorize(v, codebooks, config)
     return crt_reconstruct(state.labels, sys.moduli), state
 
 
@@ -457,7 +381,6 @@ def sub_integer_decode(
     v,
     r: int,
     config: ResonatorConfig | None = None,
-    codebooks: Sequence[Codebook] | None = None,
 ):
     """Decode a rational encoded on the grid of r partitions per unit.
 
@@ -475,15 +398,14 @@ def sub_integer_decode(
     """
     if r < 1:
         raise ValueError(f"partitions must be >= 1, got {r}")
-    books = _residue_books(sys, codebooks)
-    state = resonator_factorize(v, books, config)
+    state = resonator_factorize(v, sys.bases, config)
     v_vals = v.values if isinstance(v, PhasorVector) else np.asarray(v)
     M = sys.range_M
     # nearest and runner-up integer per modulus, by gauge-invariant magnitude
     top2 = []
-    for j, book in enumerate(books):
-        coeffs = np.abs(book.project(_unbind(v_vals, state.estimates, j)))
-        state.codebook_evaluations += book.n_entries
+    for j, base in enumerate(sys.bases):
+        coeffs = np.abs(base.project(_unbind(v_vals, state.estimates, j)))
+        state.codebook_evaluations += base.n_entries
         top2.append([int(i) for i in np.argsort(-coeffs)[:2]])
     anchors = sorted({crt_reconstruct(combo, sys.moduli) for combo in itertools.product(*top2)})
     offsets = [Fraction(j, r) for j in range(-(r - 1), r)]
@@ -510,14 +432,10 @@ def subinteger_overlay(
     sinc-comb kernel |K_m(q - r)|. Returns (modulus, entry, measured,
     predicted) rows for plotting; qualitative, no tolerance attached.
     """
-    from .kernels import analytic_kernel
-
-    books = build_residue_codebooks(sys)
-    v = sys.encode_rational(q)
-    state = resonator_factorize(v, books, config or ResonatorConfig(max_iters=50))
+    state = resonator_factorize(sys.encode_rational(q), sys.bases, config)
     rows = []
-    for j, (base, book) in enumerate(zip(sys.bases, books)):
-        coeffs = np.abs(book.project(state.estimates[j])) / sys.dim
+    for j, base in enumerate(sys.bases):
+        coeffs = np.abs(base.project(state.estimates[j])) / sys.dim
         for r in range(base.modulus):
             predicted = abs(analytic_kernel(base.modulus, q - r))
             rows.append((base.modulus, r, float(coeffs[r]), float(predicted)))
@@ -574,7 +492,6 @@ def decode_accuracy(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     M = sys.range_M
-    books = build_residue_codebooks(sys)
     base_cfg = config or ResonatorConfig(max_iters=30, max_restarts=3)
     hits, evaluations = [], []
     for t in range(trials):
@@ -583,7 +500,7 @@ def decode_accuracy(
         vec = sys.encode(x)
         if not math.isinf(kappa):
             vec = add_phase_noise(vec, NoiseModel(kappa, s_noise))
-        decoded, st = decode_residue_number(sys, vec, replace(base_cfg, seed=s_res), codebooks=books)
+        decoded, st = decode_residue_number(sys, vec, replace(base_cfg, seed=s_res))
         hits.append(decoded == x)
         evaluations.append(st.codebook_evaluations)
     return float(np.mean(hits)), float(np.mean(evaluations))
@@ -708,7 +625,6 @@ def subinteger_experiment(
         raise ValueError(f"trials must be >= 1, got {trials}")
     M = sys.range_M
     P = M * r
-    books = build_residue_codebooks(sys)
     base_cfg = config or ResonatorConfig(max_iters=30)
     hits = 0
     for t in range(trials):
@@ -718,7 +634,7 @@ def subinteger_experiment(
         vec = sys.encode_rational(float(truth))
         if not math.isinf(kappa):
             vec = add_phase_noise(vec, NoiseModel(kappa, s_noise))
-        decoded, _ = sub_integer_decode(sys, vec, r, replace(base_cfg, seed=s_res), codebooks=books)
+        decoded, _ = sub_integer_decode(sys, vec, r, replace(base_cfg, seed=s_res))
         if decoded == truth:
             hits += 1
     acc = hits / trials

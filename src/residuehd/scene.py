@@ -31,14 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .phasor import _index, phase_normalize
-from .residue import ResidueSystem, _child_seeds, crt_reconstruct
-from .resonator import (
-    Codebook,
-    ModularCodebook,
-    ResonatorConfig,
-    build_residue_codebooks,
-    resonator_factorize,
-)
+from .residue import ResidueSystem, _child_seeds, crt_reconstruct, make_residue_system
+from .resonator import Codebook, ResonatorConfig, resonator_factorize
 
 __all__ = [
     "FeatureMaps",
@@ -176,10 +170,10 @@ class SceneCodec:
         rng = np.random.default_rng(seed)
         self.feature_vectors = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_features, self.dim)))
         # a standard-layout codebook holds the encodings 0 .. M-1 of one axis,
-        # the modular codebook of that axis's composed base
+        # which is that axis's composed base
         self.layouts = {
-            "standard": [ModularCodebook(s.composed_base) for s in (hsys, vsys)],
-            "residue": build_residue_codebooks(hsys) + build_residue_codebooks(vsys),
+            "standard": [hsys.composed_base, vsys.composed_base],
+            "residue": [*hsys.bases, *vsys.bases],
         }
 
     def encode_scene(self, maps: FeatureMaps) -> SceneVector:
@@ -292,8 +286,6 @@ def scene_experiment(
     codebook vector count, over a shared set of scenes. Raises
     ValueError when n_scenes < 1.
     """
-    from .residue import make_residue_system
-
     if n_scenes < 1:
         raise ValueError(f"scenes must be >= 1, got {n_scenes}")
     s_h, s_v, s_codec, s_obj, s_scene = _child_seeds(seed, (), 5)

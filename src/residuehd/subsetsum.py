@@ -94,9 +94,10 @@ def consecutive_triple_moduli(m: int) -> tuple[int, int, int]:
     """{m-1, m, m+1} for the first even m >= max(m, 4).
 
     Odd m fails (m-1 and m+1 are both even); for even m, m-1 and m+1 are
-    odd and differ by 2, so the triple is pairwise co-prime.
+    odd and differ by 2, so the triple is pairwise co-prime. m must be an
+    integer; a float, string or bool raises TypeError rather than being truncated.
     """
-    m = max(int(m), 4)
+    m = max(_index(m), 4)
     m += m % 2
     return (m - 1, m, m + 1)
 
@@ -191,12 +192,13 @@ def exact_baseline(S: Sequence[int], T: int):
 
     Reachability is tracked in a single big-int bitset (bit s set iff
     sum s is reachable), and the subset is reconstructed by walking the
-    per-prefix bitsets backward.
+    per-prefix bitsets backward. Items and target must be integers; a
+    float, string or bool raises TypeError rather than being truncated.
     """
-    S = [int(s) for s in S]
+    S = [_index(s) for s in S]
     if any(s <= 0 for s in S):
         raise ValueError("items must be positive integers")
-    T = int(T)
+    T = _index(T)
     if T < 0:
         return None
     prefix = [1]
@@ -218,8 +220,12 @@ def exact_baseline(S: Sequence[int], T: int):
 
 
 def brute_force_baseline(S: Sequence[int], T: int):
-    """2^|S| enumeration, the oracle of oracles for small instances."""
-    S = [int(s) for s in S]
+    """2^|S| enumeration, the oracle of oracles for small instances.
+
+    Items and target must be integers; a float, string or bool raises TypeError.
+    """
+    S = [_index(s) for s in S]
+    T = _index(T)
     n = len(S)
     if n > 22:
         raise ValueError("brute force limited to |S| <= 22")

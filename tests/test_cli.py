@@ -70,6 +70,16 @@ class TestConfigHandling:
         assert rc == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", ["null", "3", "[1, 2]", '"x"', "true"])
+    def test_config_not_an_object_rejected(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        out = tmp_path / "k"
+        rc = main(["kernel", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert f"error: config {cfg} must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["kernel", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "k")])
         assert rc == 2

@@ -247,13 +247,21 @@ class TestHexEncoding:
         from residuehd import hexgrid
         from residuehd.resonator import ResonatorConfig
 
-        builder = hexgrid.ModularCodebook
-        built = []
-        monkeypatch.setattr(hexgrid, "ModularCodebook", lambda base: built.append(base.modulus) or builder(base))
+        factorize, passed = hexgrid.resonator_factorize, []
+
+        def recording_factorize(v, books, cfg):
+            passed.append(books)
+            return factorize(v, books, cfg)
+
+        monkeypatch.setattr(hexgrid, "resonator_factorize", recording_factorize)
         hs = HexSystem((3, 5), 1024, seed=17)
         for t, y in enumerate([(1, 2, 0), (4, 0, 3)]):
             hs.decode(hs.encode(y), ResonatorConfig(max_iters=30, max_restarts=5, seed=t))
-        assert len(built) == 3 * len(hs.moduli)
+        # the books are the directions' own bases, modulus-major
+        own = [d.bases[k] for k in range(len(hs.moduli)) for d in hs.directions]
+        assert len(passed) == 2
+        for books in passed:
+            assert len(books) == len(own) and all(b is o for b, o in zip(books, own))
 
     def test_decode_failure_raises(self):
         from residuehd.resonator import ResonatorConfig

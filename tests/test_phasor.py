@@ -290,6 +290,11 @@ class TestPhaseNoise:
         with pytest.raises(ValueError):
             NoiseModel(kappa=-0.5)
 
+    def test_nan_kappa_rejected(self):
+        # a NaN kappa once failed later, as an input with non-finite components
+        with pytest.raises(ValueError, match="kappa must be >= 0"):
+            NoiseModel(kappa=math.nan)
+
     def test_circular_variance_kappa16(self):
         # var = 1 - I1(k)/I0(k), estimated from the applied perturbations
         D = 100_000

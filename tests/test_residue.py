@@ -289,7 +289,6 @@ class TestMultiply:
         def forbidden(*args, **kwargs):
             raise AssertionError("composed multiply must not decode")
 
-        monkeypatch.setattr(resonator, "ModularCodebook", forbidden)
         monkeypatch.setattr(resonator, "resonator_factorize", forbidden)
         sys = make_residue_system([3, 5, 7], 512, seed=103, nonzero_only=True)
         assert multiply(sys, sys.encode(4), sys.encode(9)) == sys.encode(36)

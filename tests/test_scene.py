@@ -227,21 +227,27 @@ class TestFactorization:
             assert hits >= 7
 
     def test_residue_layout_built_once(self, monkeypatch):
-        calls = []
-        build = scene.build_residue_codebooks
+        factorize, passed = scene.resonator_factorize, []
 
-        def counting_build(sys):
-            calls.append(sys)
-            return build(sys)
+        def recording_factorize(v, books, cfg):
+            passed.append(books)
+            return factorize(v, books, cfg)
 
-        monkeypatch.setattr(scene, "build_residue_codebooks", counting_build)
+        monkeypatch.setattr(scene, "resonator_factorize", recording_factorize)
         codec = small_codec()
         objects = make_synthetic_objects(3, 4, (105, 105), seed=9)
         cb = codec.build_object_codebook(objects)
         cfg = ResonatorConfig(max_iters=5, seed=0)
         for dx in (4, 50):
             codec.factorize_scene(codec.encode_scene(translate_maps(objects[1], dx, 7)), cb, "residue", cfg)
-        assert calls == [codec.hsys, codec.vsys]
+        # the position books are the systems' own bases, not copies
+        own = [*codec.hsys.bases, *codec.vsys.bases]
+        assert len(passed) == 2
+        for books in passed:
+            assert books[0] is cb and len(books) == 1 + len(own)
+            assert all(b is o for b, o in zip(books[1:], own))
+        standard = codec.layouts["standard"]
+        assert standard[0] is codec.hsys.composed_base and standard[1] is codec.vsys.composed_base
 
     def test_unknown_mode_rejected(self):
         codec = small_codec()

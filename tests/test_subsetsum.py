@@ -64,6 +64,14 @@ class TestModuliChoice:
             for j in range(i + 1, 3):
                 assert math.gcd(triple[i], triple[j]) == 1
 
+    @pytest.mark.parametrize("m", [200.7, "200", True])
+    def test_non_integer_anchor_raises(self, m):
+        with pytest.raises(TypeError):
+            consecutive_triple_moduli(m)
+
+    def test_numpy_integer_anchor(self):
+        assert consecutive_triple_moduli(np.int32(199)) == (199, 200, 201)
+
     def test_all_returned_triples_coprime(self):
         def searched(m):
             # reference: the first m >= max(m, 4) whose triple is pairwise co-prime
@@ -216,6 +224,18 @@ class TestExactBaseline:
             exact_baseline([0, 3], 2)
         with pytest.raises(ValueError):
             brute_force_baseline(list(range(1, 30)), 5)
+
+    @pytest.mark.parametrize("baseline", [exact_baseline, brute_force_baseline])
+    @pytest.mark.parametrize("items, target", [([2, 3], 5.9), ([2, 3], "5"), ([2, 3], True),
+                                               ([2.0, 3], 5), (["2", 3], 5), ([True, 3], 4)])
+    def test_non_integers_raise(self, baseline, items, target):
+        # int() would truncate 5.9 to 5 and claim (0, 1) sums to 5.9
+        with pytest.raises(TypeError):
+            baseline(items, target)
+
+    @pytest.mark.parametrize("baseline", [exact_baseline, brute_force_baseline])
+    def test_numpy_integers_accepted(self, baseline):
+        assert baseline(np.array([2, 3, 4]), np.int64(7)) == (1, 2)
 
 
 class TestInstanceFiles:
