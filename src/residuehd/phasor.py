@@ -89,7 +89,9 @@ class PhasorVector:
     def exact(cls, indices, period: int) -> "PhasorVector":
         """Vector with component j at phase 2*pi*indices[j]/period.
 
-        Raises ValueError unless 1 <= period <= _MAX_PERIOD.
+        The only reducer of exact results: an operation passes its unreduced
+        index sums or products, which fit int64 by the period limit. Raises
+        ValueError unless 1 <= period <= _MAX_PERIOD.
         """
         if not 1 <= period <= _MAX_PERIOD:
             raise ValueError(f"period must lie in [1, {_MAX_PERIOD}], got {period}")
@@ -173,7 +175,7 @@ class ModulusBase:
 
     def __post_init__(self):
         try:
-            m = operator.index(self.modulus)
+            m = _index(self.modulus)
         except TypeError:
             raise ValueError(f"modulus must be an integer, got {self.modulus!r}") from None
         if m > _MAX_PERIOD:
@@ -340,15 +342,15 @@ def hadamard(a: PhasorVector, b: PhasorVector) -> PhasorVector:
         L = math.lcm(a.period, b.period)
         if L > _MAX_PERIOD:
             raise ValueError(f"combined period {L} exceeds the exact period limit {_MAX_PERIOD}")
-        idx = (a.indices * (L // a.period) + b.indices * (L // b.period)) % L
-        return PhasorVector.exact(idx, L)
+        # each term is below L, so the sum is below 2L and fits int64
+        return PhasorVector.exact(a.indices * (L // a.period) + b.indices * (L // b.period), L)
     return PhasorVector.dense(a.values * b.values, validate=False)
 
 
 def conjugate(v: PhasorVector) -> PhasorVector:
     """Componentwise complex conjugate (phase negation)."""
     if v.is_exact:
-        return PhasorVector.exact((-v.indices) % v.period, v.period)
+        return PhasorVector.exact(-v.indices, v.period)
     return PhasorVector.dense(np.conj(v.values), validate=False)
 
 

@@ -16,7 +16,9 @@ ring arithmetic:
 
 An exact composed vector holds its per-modulus factors exactly:
 :meth:`ResidueSystem.split` raises it componentwise to the CRT
-idempotent of each modulus, so multiplication needs no decoder.
+idempotent of each modulus, so multiplication needs no decoder, and
+the private ``ResidueSystem._compose``, its inverse, takes the factors
+back to one composed vector in one step.
 Multiplicative binding requires every modulus to be prime and every
 base phase index nonzero. Division is not provided; see
 :func:`multiply_by_constant_inverse` for the invertible-constant case.
@@ -26,12 +28,14 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .phasor import (
+    _MAX_PERIOD,
     ModulusBase,
     PhasorVector,
     _index,
@@ -87,12 +91,12 @@ class ResidueSystem:
 
     The bases are the whole state: the moduli (as ints) and D are read from them.
     Two constants derived from the bases are built on first use and kept, since
-    the bases cannot change: the anti-bases that :func:`multiply` reads, and
-    :attr:`composed_base`, the composed code as one modular code of modulus M.
-    A call that raises keeps nothing, and a record holds neither.
+    the bases cannot change: :attr:`anti_bases`, which :func:`multiply` reads,
+    and :attr:`composed_base`, the composed code as one modular code of modulus
+    M. A call that raises keeps nothing, and a record holds neither.
+    :meth:`split` takes an exact composed vector to its per-modulus factors,
+    and ``_compose`` takes factors back to one composed vector.
     """
-
-    __slots__ = ("moduli", "dim", "bases", "_anti_bases", "_composed_base")
 
     def __init__(self, bases: Iterable[ModulusBase]):
         self.bases = tuple(bases)
@@ -104,8 +108,6 @@ class ResidueSystem:
         if min(self.moduli) < 2:
             raise ValueError(f"modulus must be >= 2, got {min(self.moduli)}")
         _check_pairwise_coprime(self.moduli)
-        self._anti_bases = None  # anti_base of each base, kept by the first multiply
-        self._composed_base = None  # kept by the first read of composed_base
 
     @property
     def range_M(self) -> int:
@@ -115,20 +117,29 @@ class ResidueSystem:
     def codebook_budget_b(self) -> int:
         return sum(self.moduli)
 
-    @property
+    @cached_property
+    def anti_bases(self) -> tuple[PhasorVector, ...]:
+        """The anti-base of each base; raises ValueError unless :func:`anti_base` accepts every base."""
+        return tuple(anti_base(b) for b in self.bases)
+
+    @cached_property
     def composed_base(self) -> ModulusBase:
         """The composed code as one modular code: modulus M and the indices w of z(1).
 
-        Over co-prime moduli z(x) = z(1)^x, so the hadamard chain of
+        Over co-prime moduli z(x) = z(1)^x, so the composition of
         encode_factors(x) has indices w * x mod M. Raises ValueError when M
         exceeds the exact period limit.
         """
-        if self._composed_base is None:
-            one = None
-            for f in self.encode_factors(1):
-                one = f if one is None else hadamard(one, f)
-            self._composed_base = ModulusBase(one.period, one.indices)
-        return self._composed_base
+        one = self._compose(self.encode_factors(1))
+        return ModulusBase(one.period, one.indices)
+
+    def _compose(self, factors: Sequence[PhasorVector]) -> PhasorVector:
+        """The hadamard chain of one exact factor per modulus, in one step; inverts :meth:`split`."""
+        M = self.range_M
+        if M > _MAX_PERIOD:  # checked first: above it M // m can wrap int64
+            raise ValueError(f"combined period {M} exceeds the exact period limit {_MAX_PERIOD}")
+        # factor k contributes f_k * (M // m_k), each term below M
+        return PhasorVector.exact(sum(f.indices * (M // m) for m, f in zip(self.moduli, factors)), M)
 
     def encode_factors(self, x: int) -> list[PhasorVector]:
         """Per-modulus exact encodings [z_{m_1}(x), ..., z_{m_K}(x)] of an integer x."""
@@ -145,13 +156,13 @@ class ResidueSystem:
         """Per-modulus factors of an exact composed vector; inverts :meth:`encode`.
 
         The factor for modulus m is v raised componentwise to the CRT
-        idempotent of m, read at period m. Raises ValueError unless v is
-        exact with period M.
+        idempotent of m, read at period m; ``_compose`` is the inverse.
+        Raises ValueError unless v is exact with period M.
         """
         M = self.range_M
         if not v.is_exact or v.period != M:
             raise ValueError("expected an exact composed vector with period M")
-        return [PhasorVector.exact(v.indices % m * pow(M // m, -1, m) % m, m) for m in self.moduli]
+        return [PhasorVector.exact(v.indices % m * pow(M // m, -1, m), m) for m in self.moduli]
 
     def encode_rational(self, q: float) -> PhasorVector:
         """Dense composed encoding of a real/rational value."""
@@ -221,7 +232,7 @@ def f_op(a: PhasorVector, b: PhasorVector) -> PhasorVector:
         raise ValueError("f_op is defined on exact-form vectors only")
     if a.period != b.period:
         raise ValueError(f"period mismatch: {a.period} vs {b.period}")
-    return PhasorVector.exact((a.indices * b.indices) % a.period, a.period)
+    return PhasorVector.exact(a.indices * b.indices, a.period)
 
 
 def multiply(sys: ResidueSystem, a, b) -> PhasorVector:
@@ -232,22 +243,17 @@ def multiply(sys: ResidueSystem, a, b) -> PhasorVector:
     composed vector with period M, which :meth:`ResidueSystem.split`
     turns into that list. A dense operand raises ValueError: decode it
     first with `decode_residue_number` and pass `encode_factors` of the
-    result. All moduli must be prime and bases sampled with nonzero_only;
-    :func:`anti_base` raises ValueError otherwise. The anti-bases are built
-    on the system's first multiply and kept.
+    result; so does a dense vector in a factor list. All moduli must be
+    prime and bases sampled with nonzero_only; :func:`anti_base` raises
+    ValueError otherwise. The product reads the system's
+    :attr:`~ResidueSystem.anti_bases`.
     """
     a, b = (sys.split(v) if isinstance(v, PhasorVector) else list(v) for v in (a, b))
     if len(a) != len(sys.moduli) or len(b) != len(sys.moduli):
         raise ValueError("need one factor vector per modulus")
-    if any(f.period != m for m, fa, fb in zip(sys.moduli, a, b) for f in (fa, fb)):
-        raise ValueError("factor period does not match its modulus")
-    if sys._anti_bases is None:
-        sys._anti_bases = tuple(anti_base(base) for base in sys.bases)
-    out = None
-    for y, fa, fb in zip(sys._anti_bases, a, b):
-        part = f_op(f_op(fa, fb), y)
-        out = part if out is None else hadamard(out, part)
-    return out
+    if not all(f.is_exact and f.period == m for m, fa, fb in zip(sys.moduli, a, b) for f in (fa, fb)):
+        raise ValueError("each factor must be exact with its modulus as period")
+    return sys._compose([f_op(f_op(fa, fb), y) for y, fa, fb in zip(sys.anti_bases, a, b)])
 
 
 def multiply_by_constant_inverse(sys: ResidueSystem, v: PhasorVector, c: int) -> PhasorVector:
@@ -262,7 +268,7 @@ def multiply_by_constant_inverse(sys: ResidueSystem, v: PhasorVector, c: int) ->
     if math.gcd(c % M, M) != 1:
         raise ValueError(f"constant {c} is not invertible modulo {M}")
     w = pow(c % M, -1, M)
-    return PhasorVector.exact((v.indices * w) % M, M)
+    return PhasorVector.exact(v.indices * w, M)
 
 
 def crt_reconstruct(residues: Sequence[int], moduli: Sequence[int]) -> int:

@@ -391,6 +391,12 @@ def sub_integer_decode(
     range 1 of each anchor. Returns (value, state) with value a
     Fraction reduced into [0, M).
 
+    state.claim_cosine is the returned value's score, the cosine between
+    its encoding and the input, and state.converged is True when that
+    score reaches VERIFY_THRESHOLD, the rule every decode accepts by.
+    Adjacent grid values also score high against a right answer, so the
+    check confirms a match, not that the match is unique.
+
     A fractional value midway between integers makes "nearest" ambiguous
     per modulus, and mixing rounding directions across moduli would CRT
     to a far-off anchor, so the two top entries per modulus are combined
@@ -417,6 +423,7 @@ def sub_integer_decode(
             state.codebook_evaluations += 1
             if score > best_score:
                 best_value, best_score = anchor + off, score
+    state.claim_cosine, state.converged = best_score, best_score >= VERIFY_THRESHOLD
     return Fraction(best_value.numerator % (M * best_value.denominator), best_value.denominator), state
 
 
@@ -497,9 +504,7 @@ def decode_accuracy(
     for t in range(trials):
         s_x, s_noise, s_res = _child_seeds(seed, (t,), 3)
         x = int(np.random.default_rng(s_x).integers(M))
-        vec = sys.encode(x)
-        if not math.isinf(kappa):
-            vec = add_phase_noise(vec, NoiseModel(kappa, s_noise))
+        vec = add_phase_noise(sys.encode(x), NoiseModel(kappa, s_noise))
         decoded, st = decode_residue_number(sys, vec, replace(base_cfg, seed=s_res))
         hits.append(decoded == x)
         evaluations.append(st.codebook_evaluations)
@@ -631,9 +636,7 @@ def subinteger_experiment(
         s_x, s_noise, s_res = _child_seeds(seed, (t,), 3)
         rng = np.random.default_rng(s_x)
         truth = Fraction(int(rng.integers(M)) * r + int(rng.integers(r)), r)
-        vec = sys.encode_rational(float(truth))
-        if not math.isinf(kappa):
-            vec = add_phase_noise(vec, NoiseModel(kappa, s_noise))
+        vec = add_phase_noise(sys.encode_rational(float(truth)), NoiseModel(kappa, s_noise))
         decoded, _ = sub_integer_decode(sys, vec, r, replace(base_cfg, seed=s_res))
         if decoded == truth:
             hits += 1

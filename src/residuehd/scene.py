@@ -276,11 +276,10 @@ def scene_experiment(
     n_features: int = 8,
     grid: tuple[int, int] = (105, 105),
     moduli: Sequence[int] = (3, 5, 7),
-    modes: Sequence[str] = ("residue", "standard"),
     seed: int = 0,
     config: ResonatorConfig | None = None,
 ) -> dict:
-    """Place single objects at random positions and factorize in each mode.
+    """Place single objects at random positions and factorize in the residue, then the standard layout.
 
     Returns per-mode accuracy, mean codebook evaluations, and the
     codebook vector count, over a shared set of scenes. Raises
@@ -303,7 +302,7 @@ def scene_experiment(
         scenes.append((i, dx, dy, codec.encode_scene(translate_maps(objects[i], dx, dy))))
     out = {"D": D, "n_objects": n_objects, "grid": list(grid), "moduli": list(moduli), "modes": {}}
     base_cfg = config or ResonatorConfig(max_iters=15, max_restarts=9)
-    for m_idx, mode in enumerate(modes):
+    for m_idx, mode in enumerate(("residue", "standard")):
         hits = 0
         evals = []
         vectors = None

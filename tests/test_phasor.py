@@ -86,6 +86,7 @@ class TestSampleBase:
         (5.0, [1, 2]),
         ("5", [1, 2]),
         (None, [1, 2]),
+        (True, [0]),  # once read as modulus 1
     ])
     def test_base_rejects_non_integers(self, modulus, indices):
         with pytest.raises(ValueError):

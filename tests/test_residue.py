@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, strategies
 
 from residuehd.hexgrid import HexSystem
-from residuehd.phasor import _MAX_PERIOD, ModulusBase, PhasorVector, base_to_dict, encode_integer, hadamard
+from residuehd.phasor import (
+    _MAX_PERIOD,
+    ModulusBase,
+    PhasorVector,
+    base_to_dict,
+    conjugate,
+    encode_integer,
+    hadamard,
+)
 from residuehd.residue import (
     ResidueSystem,
     _is_prime,
@@ -37,6 +45,20 @@ def prime_systems(draw):
     """Small residue systems over distinct primes that admit multiplication."""
     moduli = draw(strategies.lists(strategies.sampled_from(SMALL_PRIMES), min_size=1, max_size=3, unique=True))
     D = draw(strategies.integers(1, 24))
+    return make_residue_system(moduli, D, seed=draw(strategies.integers(0, 2**16)), nonzero_only=True)
+
+
+# prime moduli whose range M lies near the exact period limit, where an
+# unreduced index sum or product nearly fills int64
+LARGEST_PRIME = next(p for p in range(_MAX_PERIOD, 2, -1) if _is_prime(p))
+NEAR_LIMIT_MODULI = ((46337, 65537), (2, 1518500213), (1433, 1447, 1459), (1000003,), (LARGEST_PRIME,))
+
+
+@strategies.composite
+def near_limit_systems(draw):
+    """Prime residue systems at large ranges, D down to 1, that admit multiplication."""
+    moduli = draw(strategies.sampled_from(NEAR_LIMIT_MODULI))
+    D = draw(strategies.integers(1, 16))
     return make_residue_system(moduli, D, seed=draw(strategies.integers(0, 2**16)), nonzero_only=True)
 
 
@@ -298,6 +320,13 @@ class TestMultiply:
         with pytest.raises(ValueError, match="exact composed vector"):
             multiply(sys, sys.encode(4).to_dense(), sys.encode(2))
 
+    def test_factor_list_rejects_dense_factor(self):
+        # a dense factor once raised AttributeError from its missing period
+        sys = make_residue_system([3, 5, 7], 256, seed=0, nonzero_only=True)
+        f0, f1, f2 = sys.encode_factors(4)
+        with pytest.raises(ValueError, match="exact"):
+            multiply(sys, [f0.to_dense(), f1, f2], sys.encode_factors(2))
+
     def test_decode_then_multiply_dense_operands(self):
         from residuehd.resonator import ResonatorConfig, decode_residue_number
 
@@ -425,6 +454,11 @@ class TestDerivedConstantsCached:
             with pytest.raises(ValueError, match="exact period limit"):
                 sys.encode(5)
 
+    def test_anti_bases_are_read_once_built(self):
+        sys = make_residue_system([3, 5, 7], 16, seed=5, nonzero_only=True)
+        assert sys.anti_bases is sys.anti_bases
+        assert list(sys.anti_bases) == [anti_base(base) for base in sys.bases]
+
     def test_records_hold_no_cache(self):
         sys = make_residue_system([3, 5, 7], 16, seed=4, nonzero_only=True)
         before = json.dumps(system_to_dict(sys))
@@ -439,6 +473,39 @@ class TestDerivedConstantsCached:
         assert sys.encode(9) == want
         with pytest.raises(ValueError, match="read-only"):
             sys.bases[0].phase_indices[0] = 3
+
+
+class TestNearExactLimit:
+    """Each exact operation leaves the one reduction to PhasorVector.exact; near the limit its results stay exact."""
+
+    @given(sys=near_limit_systems(), x1=strategies.integers(-10**20, 10**20),
+           x2=strategies.integers(-10**20, 10**20), c=strategies.integers(2, 10**6))
+    def test_results_reduced_and_equal_integer_arithmetic(self, sys, x1, x2, c):
+        M = sys.range_M
+        assert all(_is_prime(m) for m in sys.moduli) and M <= _MAX_PERIOD
+        c = next(k for k in range(c, c + M) if math.gcd(k, M) == 1)  # the first invertible constant from c
+        a, b = sys.encode(x1), sys.encode(x2)
+        fa, fb = sys.encode_factors(x1), sys.encode_factors(x2)
+        # encode itself, against the composed code in Python integers
+        w = [sum(int(base.phase_indices[j]) * (M // base.modulus) for base in sys.bases) % M for j in range(sys.dim)]
+        assert a.indices.tolist() == [wj * x1 % M for wj in w]
+        results = [
+            (add(sys, a, b), sys.encode(x1 + x2)),
+            (subtract(sys, a, b), sys.encode(x1 - x2)),
+            (conjugate(a), sys.encode(-x1)),
+            (multiply(sys, fa, fb), sys.encode(x1 * x2)),
+            (multiply(sys, a, b), sys.encode(x1 * x2)),
+            (multiply_by_constant_inverse(sys, a, c), sys.encode(x1 * pow(c, -1, M))),
+        ]
+        split = sys.split(a)
+        results += zip(split, fa)
+        results.append((sys._compose(split), a))
+        for fp, fq in zip(fa, fb):
+            want = [int(p) * int(q) % fp.period for p, q in zip(fp.indices, fq.indices)]
+            results.append((f_op(fp, fq), PhasorVector.exact(want, fp.period)))
+        for got, want in results:
+            assert 0 <= got.indices.min() and got.indices.max() < got.period
+            assert got == want
 
 
 class TestResidueKernel:

@@ -555,6 +555,19 @@ class TestSubIntegerDecode:
         with pytest.raises(ValueError):
             sub_integer_decode(sys357, sys357.encode(1), 0)
 
+    def test_readme_example_converges(self):
+        # the integer resonator's own check fails on a fractional input, so
+        # converged once came back False with the right 202/5
+        sys = make_residue_system([3, 5, 7], 1024, seed=0)
+        value, state = sub_integer_decode(sys, sys.encode_rational(40.4), r=5)
+        assert value == Fraction(202, 5)
+        assert state.converged and state.claim_cosine >= 0.999
+
+    def test_random_input_does_not_converge(self, sys357):
+        v = PhasorVector.dense(np.exp(2j * np.pi * np.random.default_rng(53).random(sys357.dim)))
+        _, state = sub_integer_decode(sys357, v, 5, ResonatorConfig(max_iters=30, seed=2))
+        assert not state.converged and state.claim_cosine < VERIFY_THRESHOLD
+
 
 class TestBitsPerVector:
     def test_perfect_accuracy(self):
