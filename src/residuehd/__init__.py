@@ -50,7 +50,6 @@ from .resonator import (
     decode_accuracy,
     decode_residue_number,
     resonator_factorize,
-    resonator_step,
     sub_integer_decode,
 )
 from .hexgrid import (

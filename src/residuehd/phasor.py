@@ -91,12 +91,20 @@ class PhasorVector:
 
         The only reducer of exact results: an operation passes its unreduced
         index sums or products, which fit int64 by the period limit. Raises
-        ValueError unless 1 <= period <= _MAX_PERIOD.
+        ValueError unless the period is an integer (not a bool) with
+        1 <= period <= _MAX_PERIOD and the indices have an integer dtype, so
+        neither is truncated.
         """
+        try:
+            period = _index(period)
+        except TypeError:
+            raise ValueError(f"period must be an integer, got {period!r}") from None
         if not 1 <= period <= _MAX_PERIOD:
             raise ValueError(f"period must lie in [1, {_MAX_PERIOD}], got {period}")
-        idx = np.asarray(indices, dtype=np.int64) % period
-        return cls(idx, int(period), None)
+        idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"phase indices must have an integer dtype, got {idx.dtype}")
+        return cls(idx.astype(np.int64, copy=False) % period, period, None)
 
     @classmethod
     def dense(cls, values, validate: bool = True) -> "PhasorVector":
@@ -104,7 +112,8 @@ class PhasorVector:
         vals = np.asarray(values, dtype=np.complex128)
         if validate:
             mags = np.abs(vals)
-            if mags.size and (np.min(mags) < 1.0 - _UNIT_TOL or np.max(mags) > 1.0 + _UNIT_TOL):
+            # written so that a NaN magnitude, which compares False, fails it
+            if mags.size and not (np.min(mags) >= 1.0 - _UNIT_TOL and np.max(mags) <= 1.0 + _UNIT_TOL):
                 raise ValueError("dense phasor components must have unit magnitude")
         return cls(None, None, vals)
 
@@ -203,15 +212,6 @@ class ModulusBase:
     @property
     def n_entries(self) -> int:
         return self.modulus
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense rows, built on each request and not kept: a reference for tests."""
-        # written in place: a list of m rows would double the peak memory
-        rows = np.empty((self.modulus, self.dim), dtype=np.complex128)
-        for r in range(self.modulus):
-            rows[r] = self.row(r)
-        return rows
 
     def _group_sum(self, x: np.ndarray) -> np.ndarray:
         """h = bincount(u, x, m): the components of x summed per phase index."""

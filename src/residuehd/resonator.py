@@ -62,7 +62,6 @@ __all__ = [
     "ResonatorState",
     "build_residue_codebooks",
     "codebook_decode",
-    "resonator_step",
     "resonator_factorize",
     "decode_residue_number",
     "sub_integer_decode",
@@ -93,10 +92,6 @@ class Codebook:
         if 0 in matrix.shape:
             raise ValueError(f"codebook needs at least one entry and dim >= 1, got shape {matrix.shape}")
         self.matrix = matrix  # (entries, dim) complex rows
-
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[PhasorVector]) -> "Codebook":
-        return cls(np.stack([v.values for v in vectors]))
 
     @property
     def n_entries(self) -> int:
@@ -182,8 +177,7 @@ class ResonatorState:
     """Per-factor estimates plus convergence and cost bookkeeping.
 
     labels holds the decoded entry of each factor as its codebook row
-    index, read after every step by resonator_step and after an
-    attempt's last sweep by resonator_factorize. converged is True when
+    index, read after an attempt's last sweep. converged is True when
     an attempt's decoded labels reproduce the input, so they are the
     answer for any input that is a clean product of codebook entries.
     claim_cosine is that check's score for the returned attempt: the
@@ -210,12 +204,13 @@ def build_residue_codebooks(sys: ResidueSystem) -> list[ModulusBase]:
 def codebook_decode(v, codebook: Codebook) -> int:
     """Row of the entry with the largest real inner product with v.
 
-    Ties go to the lowest row. Raises ValueError when v or a score is not
-    finite, since argmax would pick row 0 for a NaN.
+    Ties go to the lowest row. Raises ValueError unless v is one vector
+    of shape (dim,), since argmax would run over a flattened stack, and
+    when v or a score is not finite, since argmax would pick row 0 for a NaN.
     """
     vals = v.values if isinstance(v, PhasorVector) else np.asarray(v)
-    if vals.shape[0] != codebook.dim:
-        raise ValueError(f"dimension mismatch: {vals.shape[0]} vs {codebook.dim}")
+    if vals.shape != (codebook.dim,):
+        raise ValueError(f"input shape {vals.shape} is not the codebook's ({codebook.dim},)")
     if not np.all(np.isfinite(vals)):
         raise ValueError("input has non-finite components")
     scores = codebook.project(vals).real
@@ -224,40 +219,12 @@ def codebook_decode(v, codebook: Codebook) -> int:
     return int(np.argmax(scores))
 
 
-def _unbind(v_vals, estimates: np.ndarray, j: int) -> np.ndarray:
-    """Factor j's residual: v (.) prod_{i != j} conj(est_i)."""
-    residual = v_vals.copy()
-    for i in range(estimates.shape[0]):
-        if i != j:
-            residual *= estimates[i].conj()
-    return residual
-
-
-def _apply_step(state: ResonatorState, codebooks, j: int, residual: np.ndarray) -> np.ndarray:
-    """Write the cleanup of factor j's residual into its estimate; return the step's summary."""
-    summary = codebooks[j].step(residual, state.estimates[j])
-    state.codebook_evaluations += codebooks[j].n_entries
-    return summary
-
-
 def _label(book, summary: np.ndarray) -> int:
     """The entry a step's summary decodes to."""
     # factor estimates settle only up to a global phase per factor (the
     # rotations cancel in the composed product), so the per-factor label
     # uses the gauge-invariant coefficient magnitude
     return int(np.argmax(np.abs(book.coefficients(summary))))
-
-
-def resonator_step(v, state: ResonatorState, codebooks: Sequence[Codebook], j: int) -> ResonatorState:
-    """Update factor j in place from the input and the other estimates."""
-    vals = v.values if isinstance(v, PhasorVector) else np.asarray(v)
-    if vals.shape[0] != state.estimates.shape[1]:
-        raise ValueError("input dimension does not match state")
-    if not 0 <= j < state.estimates.shape[0]:
-        raise ValueError(f"factor index {j} out of range")
-    summary = _apply_step(state, codebooks, j, _unbind(vals, state.estimates, j))
-    state.labels[j] = _label(codebooks[j], summary)
-    return state
 
 
 # the 2^16-th roots of unity (1 MiB): an initial phase is one of them, drawn
@@ -309,8 +276,8 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
     if any(cb.dim != D for cb in codebooks):
         raise ValueError("codebooks disagree on dimension")
     v_vals = v.values if isinstance(v, PhasorVector) else np.asarray(v, dtype=np.complex128)
-    if v_vals.shape[0] != D:
-        raise ValueError(f"input dimension {v_vals.shape[0]} does not match codebooks ({D})")
+    if v_vals.shape != (D,):
+        raise ValueError(f"input shape {v_vals.shape} is not the codebooks' ({D},)")
     if not np.all(np.isfinite(v_vals)):
         raise ValueError("input has non-finite components")
 
@@ -338,7 +305,8 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
             prev, state.estimates = state.estimates, prev
             for j in range(K):
                 np.multiply(unbound, prev[j], out=residual)
-                summaries[j] = _apply_step(state, codebooks, j, residual)
+                summaries[j] = codebooks[j].step(residual, state.estimates[j])
+                state.codebook_evaluations += codebooks[j].n_entries
                 np.multiply(residual, np.conjugate(state.estimates[j], out=scratch), out=unbound)
             state.iteration += 1
             sim = float(np.real(np.vdot(prev.ravel(), state.estimates.ravel())) / (K * D))
@@ -407,10 +375,12 @@ def sub_integer_decode(
     state = resonator_factorize(v, sys.bases, config)
     v_vals = v.values if isinstance(v, PhasorVector) else np.asarray(v)
     M = sys.range_M
-    # nearest and runner-up integer per modulus, by gauge-invariant magnitude
+    # nearest and runner-up integer per modulus, by gauge-invariant magnitude;
+    # factor j's residual is the unbound product times est_j, as in a sweep
+    unbound = v_vals * state.estimates.prod(axis=0).conj()
     top2 = []
     for j, base in enumerate(sys.bases):
-        coeffs = np.abs(base.project(_unbind(v_vals, state.estimates, j)))
+        coeffs = np.abs(base.project(unbound * state.estimates[j]))
         state.codebook_evaluations += base.n_entries
         top2.append([int(i) for i in np.argsort(-coeffs)[:2]])
     anchors = sorted({crt_reconstruct(combo, sys.moduli) for combo in itertools.product(*top2)})

@@ -223,10 +223,11 @@ class TestHadamard:
 
     def test_addition_decodes(self):
         from residuehd.residue import make_residue_system
-        from residuehd.resonator import Codebook, codebook_decode
+        from reference import full_codebook
+        from residuehd.resonator import codebook_decode
 
         sys = make_residue_system([3, 5, 7], 256, seed=12)
-        full = Codebook.from_vectors([sys.encode(x) for x in range(105)], )
+        full = full_codebook(sys)
         bound = hadamard(sys.encode(2), sys.encode(3))
         assert codebook_decode(bound, full) == 5
 
@@ -406,9 +407,27 @@ class TestDenseFormValidation:
         with pytest.raises(ValueError):
             PhasorVector.dense(np.array([2.0 + 0j]))
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0), complex(1.0, np.nan), np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN magnitude compares False both ways, so it once passed the check
+        with pytest.raises(ValueError, match="unit magnitude"):
+            PhasorVector.dense([bad, 1.0])
+
     def test_exact_indices_canonical(self):
         v = PhasorVector.exact(np.array([-1, 7]), 5)
         assert np.array_equal(v.indices, [4, 2])
+
+    @pytest.mark.parametrize("indices, period", [([1.7, 2.2], 5), (np.array([1.0, 2.0]), 5),
+                                                 ([True, False], 5), ([1, 2], 5.0), ([1, 2], True)])
+    def test_exact_refuses_non_integers(self, indices, period):
+        # these were truncated to indices [1, 2], kept as float64, or read as period 1
+        with pytest.raises(ValueError, match="integer"):
+            PhasorVector.exact(indices, period)
+
+    def test_exact_takes_any_integer_type(self):
+        v = PhasorVector.exact(np.array([1, 7], dtype=np.uint8), np.int64(5))
+        assert (v.indices.dtype, type(v.period)) == (np.int64, int)
+        assert v == PhasorVector.exact([1, 2], 5)
 
 
 class TestExactPeriodLimit:

@@ -273,9 +273,10 @@ class TestFOp:
 
 class TestMultiply:
     def test_figure_values(self, prime_sys):
-        from residuehd.resonator import Codebook, codebook_decode
+        from reference import full_codebook
+        from residuehd.resonator import codebook_decode
 
-        full = Codebook.from_vectors([prime_sys.encode(x) for x in range(105)])
+        full = full_codebook(prime_sys)
         prod = multiply(prime_sys, prime_sys.encode_factors(2), prime_sys.encode_factors(3))
         assert codebook_decode(prod, full) == 6
 

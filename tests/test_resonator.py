@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies
 from hypothesis.extra.numpy import arrays
 
+import reference
 from residuehd import scene, subsetsum
 from residuehd.phasor import (
     ModulusBase,
@@ -30,7 +31,6 @@ from residuehd.resonator import (
     _claim_cosine,
     _cosine,
     _random_init,
-    _unbind,
     bits_per_vector,
     build_residue_codebooks,
     capacity_experiment,
@@ -38,7 +38,6 @@ from residuehd.resonator import (
     consecutive_primes,
     decode_residue_number,
     resonator_factorize,
-    resonator_step,
     sub_integer_decode,
 )
 
@@ -61,7 +60,7 @@ class TestCodebooks:
     def test_entries_are_residue_encodings(self, sys357, books357):
         for base, cb in zip(sys357.bases, books357):
             for r in range(base.modulus):
-                assert np.array_equal(cb.matrix[r], encode_integer(base, r).values)
+                assert np.array_equal(cb.row(r), encode_integer(base, r).values)
 
     @settings(max_examples=60, deadline=None)
     @given(data=strategies.data(), m=strategies.integers(1, 12), D=strategies.integers(1, 96),
@@ -86,7 +85,7 @@ class TestCodebooks:
         cb = base
         assert (cb.n_entries, cb.dim) == (m, D)
         dense = np.stack([encode_integer(base, r).values for r in range(m)])
-        assert np.array_equal(cb.matrix, dense)  # built from row(r)
+        assert np.array_equal(reference.dense_rows(cb), dense)  # row(r) is z(r), bit for bit
         x = rng.normal(size=D) if real_x else rng.normal(size=D) + 1j * rng.normal(size=D)
         dense_book, want_est = Codebook(dense), np.empty(D, dtype=np.complex128)
         want_c = dense_book.coefficients(dense_book.step(x, want_est))
@@ -174,13 +173,24 @@ class TestCodebookDecode:
         assert codebook_decode(encode_integer(sys357.bases[1], 3), books357[1]) == 3
 
     def test_full_codebook_exhaustive(self, sys357):
-        full = Codebook.from_vectors([sys357.encode(x) for x in range(105)])
+        full = reference.full_codebook(sys357)
         for x in range(105):
             assert codebook_decode(sys357.encode(x), full) == x
 
     def test_dim_mismatch(self, books357):
         with pytest.raises(ValueError):
             codebook_decode(np.ones(3, dtype=complex), books357[0])
+
+    def test_input_must_be_one_vector(self):
+        # a (D, 2) stack once passed the length check and argmax ran over the
+        # flattened (105, 2) scores: two copies of 40 decoded to 80
+        sys = make_residue_system([3, 5, 7], 64, seed=0)
+        full = reference.full_codebook(sys)
+        stack = np.stack([sys.encode(40).values] * 2, axis=1)
+        for bad in (stack, np.complex128(1.0)):
+            for book in (full, sys.bases[2]):
+                with pytest.raises(ValueError, match="shape"):
+                    codebook_decode(bad, book)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_input_rejected(self, sys357, books357, bad):
@@ -214,13 +224,15 @@ class TestCodebookDecode:
 
 
 class TestResonatorStep:
+    """One step run through the stepwise reference: unbind, the codebook's step, decode."""
+
     def test_snaps_with_correct_context(self, sys357, books357):
         x = 59
         v = sys357.encode(x)
         estimates = np.stack([encode_integer(b, x).values for b in sys357.bases])
         estimates[1] = np.exp(1j * np.random.default_rng(0).uniform(0, 2 * np.pi, sys357.dim))
         state = ResonatorState(estimates=estimates)
-        resonator_step(v, state, books357, 1)
+        reference.step(v, state, books357, 1)
         assert state.labels[1] == x % 5
         assert similarity(
             type(v).dense(state.estimates[1], validate=False), encode_integer(sys357.bases[1], x % 5)
@@ -229,9 +241,10 @@ class TestResonatorStep:
     def test_single_factor_equals_cleanup(self, sys357, books357):
         v = encode_integer(sys357.bases[0], 2)
         state = ResonatorState(estimates=np.ones((1, sys357.dim), dtype=complex))
-        resonator_step(v, state, [books357[0]], 0)
-        coeffs = books357[0].matrix.conj() @ v.values
-        cleaned = coeffs @ books357[0].matrix
+        reference.step(v, state, [books357[0]], 0)
+        rows = reference.dense_rows(books357[0])
+        coeffs = rows.conj() @ v.values
+        cleaned = coeffs @ rows
         expected = cleaned / np.abs(cleaned)
         assert np.allclose(state.estimates[0], expected, atol=1e-12)
 
@@ -240,23 +253,18 @@ class TestResonatorStep:
         v = sys357.encode(x)
         estimates = np.stack([encode_integer(b, x).values for b in sys357.bases])
         state = ResonatorState(estimates=estimates.copy())
-        resonator_step(v, state, books357, 0)
+        reference.step(v, state, books357, 0)
         first = state.estimates[0].copy()
-        resonator_step(v, state, books357, 0)
+        reference.step(v, state, books357, 0)
         assert np.array_equal(state.estimates[0], first)
 
     def test_counts_evaluations(self, sys357, books357):
+        # one sweep of the engine counts each factor's m inner products once
         v = sys357.encode(7)
-        state = ResonatorState(estimates=np.ones((3, sys357.dim), dtype=complex))
-        resonator_step(v, state, books357, 2)
-        assert state.codebook_evaluations == 7
-        resonator_step(v, state, books357, 0)
-        assert state.codebook_evaluations == 10
-
-    def test_bad_factor_index(self, sys357, books357):
-        state = ResonatorState(estimates=np.ones((3, sys357.dim), dtype=complex))
-        with pytest.raises(ValueError):
-            resonator_step(sys357.encode(0), state, books357, 5)
+        st = resonator_factorize(v, [books357[2]], ResonatorConfig(max_iters=1, seed=0))
+        assert st.codebook_evaluations == 7
+        st = resonator_factorize(v, [books357[2], books357[0]], ResonatorConfig(max_iters=1, seed=0))
+        assert st.codebook_evaluations == 10
 
 
 def _k1_case():
@@ -325,7 +333,7 @@ class TestSweepMatchesStepwise:
         assert len(log) == st.iteration * len(books)
         est = _attempt_zero_init(books, 11)
         for j, residual, new in log:
-            assert np.max(np.abs(residual - _unbind(v, est, j))) <= 1e-12
+            assert np.max(np.abs(residual - reference.unbind(v, est, j))) <= 1e-12
             est[j] = new
 
     @pytest.mark.parametrize("case", SWEEP_CASES)
@@ -336,7 +344,7 @@ class TestSweepMatchesStepwise:
         ref = ResonatorState(estimates=_attempt_zero_init(books, 11))
         for _ in range(st.iteration):
             for j in range(len(books)):
-                resonator_step(v, ref, books, j)
+                reference.step(v, ref, books, j)
         assert 1 <= st.iteration <= max_iters
         assert np.array_equal(st.labels, ref.labels)
         assert st.codebook_evaluations == ref.codebook_evaluations
@@ -372,7 +380,7 @@ class TestFactorize:
         truth = np.stack([encode_integer(b, x).values for b in sys357.bases])
         state = ResonatorState(estimates=truth.copy())
         for j in range(3):
-            resonator_step(v, state, books357, j)
+            reference.step(v, state, books357, j)
         assert tuple(state.labels) == (x % 3, x % 5, x % 7)
         sim = np.real(np.vdot(truth.ravel(), state.estimates.ravel())) / truth.size
         assert sim > 0.95
@@ -405,7 +413,7 @@ class TestFactorize:
                   np.exp(1j * rng.uniform(0, 2 * np.pi, sys357.dim))]
         for t, v in enumerate(inputs):
             st = resonator_factorize(v, books357, ResonatorConfig(max_iters=30, seed=t))
-            claim = np.prod([cb.matrix[i] for cb, i in zip(books357, st.labels)], axis=0)
+            claim = np.prod([cb.row(i) for cb, i in zip(books357, st.labels)], axis=0)
             cosine = np.real(np.vdot(claim, v)) / (np.linalg.norm(claim) * np.linalg.norm(v))
             assert st.claim_cosine == pytest.approx(cosine, abs=1e-12)
             assert st.converged == (st.claim_cosine >= VERIFY_THRESHOLD)
@@ -478,6 +486,14 @@ class TestFactorize:
         v = np.full(64, np.nan + 0j)
         with pytest.raises(ValueError):
             resonator_factorize(v, build_residue_codebooks(sys), ResonatorConfig(seed=0))
+
+    @pytest.mark.parametrize("shape", [(64, 1), ()])
+    def test_input_must_be_one_vector(self, shape):
+        # a (D, 1) column once broadcast the running product to D x D before
+        # numpy refused it, and a 0-d input raised IndexError
+        sys = make_residue_system([3, 5], 64, seed=0)
+        with pytest.raises(ValueError, match="input shape"):
+            resonator_factorize(np.ones(shape, dtype=complex), sys.bases, ResonatorConfig(seed=0))
 
     def test_restart_budget_reporting(self, sys357, books357):
         rng = np.random.default_rng(5)
