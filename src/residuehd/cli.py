@@ -42,9 +42,9 @@ from .hexgrid import (
     square_state_count,
     write_hex_heatmap_csv,
 )
-from .kernels import kernel_curve, write_curve_csv
+from .kernels import empirical_kernel, product_kernel, write_curve_csv
 from .phasor import sample_base
-from .residue import make_residue_system
+from .residue import ResidueSystem, make_residue_system
 from .resonator import (
     ResonatorConfig,
     capacity_experiment,
@@ -232,11 +232,11 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def _cmd_kernel(cfg, outdir):
-    base = sample_base(cfg["m"], cfg["D"], cfg["seed"])
+    sys_ = ResidueSystem([sample_base(cfg["m"], cfg["D"], cfg["seed"])])
     grid = _grid(cfg["lo"], cfg["hi"], cfg["step"])
-    rows = kernel_curve(base, grid)
-    write_curve_csv(outdir / f"kernel_m{cfg['m']}.csv", rows)
-    worst = max(r[3] for r in rows)
+    worst = write_curve_csv(
+        outdir / f"kernel_m{cfg['m']}.csv", grid, empirical_kernel(sys_, grid), product_kernel(sys_.moduli, grid)
+    )
     print(f"kernel: m={cfg['m']} D={cfg['D']} max|empirical-analytic|={worst:.4f}")
 
 
@@ -400,30 +400,19 @@ def _cmd_baselines(cfg, outdir):
     D = cfg["thermo_D"]
     deltas = np.arange(0, D + 1)
     thermo_emp = np.array([cosine(thermometer_encode(0, D), thermometer_encode(int(d), D)) for d in deltas])
-    thermo_ana = thermometer_kernel(D, deltas)
-    write_curve_csv(
-        outdir / "thermometer.csv",
-        [(float(d), float(e), float(a), float(abs(e - a))) for d, e, a in zip(deltas, thermo_emp, thermo_ana)],
-    )
+    write_curve_csv(outdir / "thermometer.csv", deltas, thermo_emp, thermometer_kernel(D, deltas))
     Df, w = cfg["float_D"], cfg["float_w"]
     fdeltas = np.arange(0, Df - w + 1)
     femp = np.array(
         [np.dot(float_encode(0, Df, w), float_encode(int(d), Df, w)) / w for d in fdeltas]
     )
-    fana = float_kernel(w, fdeltas)
-    write_curve_csv(
-        outdir / "float.csv",
-        [(float(d), float(e), float(a), float(abs(e - a))) for d, e, a in zip(fdeltas, femp, fana)],
-    )
+    write_curve_csv(outdir / "float.csv", fdeltas, femp, float_kernel(w, fdeltas))
     levels = cfg["scatter_levels"]
     seeds = [cfg["seed"] + i for i in range(cfg["scatter_seeds"])]
     scatter_emp = scatter_similarity_curve(levels, cfg["scatter_D"], cfg["scatter_p"], seeds)
     sdeltas = np.arange(levels)
     scatter_ana = scatter_expected_similarity(cfg["scatter_p"], sdeltas)
-    write_curve_csv(
-        outdir / "scatter.csv",
-        [(float(d), float(e), float(a), float(abs(e - a))) for d, e, a in zip(sdeltas, scatter_emp, scatter_ana)],
-    )
+    write_curve_csv(outdir / "scatter.csv", sdeltas, scatter_emp, scatter_ana)
     fits = fit_kernel_shapes(sdeltas, scatter_emp)
     with open(outdir / "scatter_fits.json", "w", encoding="ascii") as fh:
         json.dump(_json_ready(fits), fh, sort_keys=True, indent=2)

@@ -18,11 +18,11 @@ ratios, which are uniformly stable (naive cot/csc would overflow).
 from __future__ import annotations
 
 import csv
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .phasor import ModulusBase, encode_rational, similarity
+from .phasor import similarity
 from .residue import ResidueSystem
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "sinc_comb",
     "empirical_kernel",
     "product_kernel",
-    "kernel_curve",
     "write_curve_csv",
 ]
 
@@ -69,7 +68,7 @@ def sinc_comb(m: int, dx, n_terms: int):
 
 
 def product_kernel(moduli: Sequence[int], dx):
-    """Kernel of a composed residue encoding: prod_k K_{m_k}(dx)."""
+    """Kernel of a composed residue encoding: prod_k K_{m_k}(dx); K_m(dx) for one modulus m."""
     out = None
     for m in moduli:
         k = np.asarray(analytic_kernel(m, dx))
@@ -77,42 +76,35 @@ def product_kernel(moduli: Sequence[int], dx):
     return float(out) if out.ndim == 0 else out
 
 
-def empirical_kernel(encoder, dx_grid) -> np.ndarray:
-    """Measured similarity(z(0), z(dx)) per grid point.
+def empirical_kernel(sys: ResidueSystem, dx_grid) -> np.ndarray:
+    """Measured similarity(z(0), z(dx)) of a residue system per grid point.
 
-    `encoder` is a ModulusBase or a ResidueSystem; encodings go through
-    the public rational-encoding path so the estimate exercises the same
-    code every consumer uses.
+    The kernel of one base is that of the one-base system
+    ResidueSystem([base]), whose analytic partner is
+    product_kernel(sys.moduli, dx) = analytic_kernel(m, dx). Encodings go
+    through the public rational-encoding path so the estimate exercises
+    the same code every consumer uses.
     """
-    if isinstance(encoder, ModulusBase):
-        enc = lambda q: encode_rational(encoder, q)
-    elif isinstance(encoder, ResidueSystem):
-        enc = encoder.encode_rational
-    else:
-        raise TypeError(f"expected ModulusBase or ResidueSystem, got {type(encoder).__name__}")
-    origin = enc(0.0)
-    return np.array([similarity(origin, enc(float(dx))) for dx in np.asarray(dx_grid, dtype=float)])
+    origin = sys.encode_rational(0.0)
+    return np.array([similarity(origin, sys.encode_rational(float(dx))) for dx in np.asarray(dx_grid, dtype=float)])
 
 
-def kernel_curve(encoder, dx_grid) -> list[tuple[float, float, float, float]]:
-    """Rows (dx, empirical, analytic, abs_error) for an encoder over a grid."""
-    dx_grid = np.asarray(dx_grid, dtype=float)
-    emp = empirical_kernel(encoder, dx_grid)
-    if isinstance(encoder, ModulusBase):
-        ana = analytic_kernel(encoder.modulus, dx_grid)
-    else:
-        ana = product_kernel(encoder.moduli, dx_grid)
-    ana = np.asarray(ana, dtype=float)
-    return [
-        (float(dx), float(e), float(a), float(abs(e - a)))
-        for dx, e, a in zip(dx_grid, emp, ana)
-    ]
+def write_curve_csv(path, dx, empirical, analytic) -> float:
+    """CSV with header dx,empirical,analytic,abs_error (repr floats, '.' decimal).
 
-
-def write_curve_csv(path, rows: Iterable[tuple[float, float, float, float]]) -> None:
-    """CSV with header dx,empirical,analytic,abs_error (repr floats, '.' decimal)."""
+    abs_error is |empirical - analytic| per row; returns its largest value.
+    Raises ValueError, before the file is opened, unless the three columns
+    are one-dimensional and of one length.
+    """
+    columns = [np.asarray(c, dtype=float) for c in (dx, empirical, analytic)]
+    if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
+        raise ValueError(f"dx, empirical and analytic must be 1-D columns of one length, "
+                         f"got shapes {[c.shape for c in columns]}")
+    dx, emp, ana = columns
+    err = np.abs(emp - ana)
     with open(path, "w", newline="", encoding="ascii") as fh:
         w = csv.writer(fh)
         w.writerow(["dx", "empirical", "analytic", "abs_error"])
-        for dx, emp, ana, err in rows:
-            w.writerow([repr(float(dx)), repr(float(emp)), repr(float(ana)), repr(float(err))])
+        for row in zip(dx, emp, ana, err):
+            w.writerow([repr(float(v)) for v in row])
+    return float(err.max(initial=0.0))

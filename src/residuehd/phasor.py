@@ -402,27 +402,24 @@ def base_to_dict(base: ModulusBase) -> dict:
 
 
 def base_from_dict(d: dict) -> ModulusBase:
-    """Rebuild a base from a version-2 or -1 record; a malformed record raises ValueError.
+    """Rebuild a base from its version-2 record; a malformed record raises ValueError.
 
-    The modulus and indices must be JSON integers, not floats, strings or bools. A
-    version-1 record's `dim` must match the indices; its seed and `nonzero_only` are ignored.
+    The modulus and indices must be JSON integers, not floats, strings or bools.
+    A record of any other version, version 1 (which also held dim and seed) included,
+    raises ValueError.
     """
     if not isinstance(d, dict) or d.get("format") != _BASE_FORMAT:
         raise ValueError("not a modulus-base record")
     version = d.get("version")
-    if type(version) is not int or not 1 <= version <= _BASE_VERSION:
+    if type(version) is not int or version != _BASE_VERSION:
         raise ValueError(f"unsupported modulus-base version: {version!r}")
-    keys = ("modulus", "phase_indices", "dim") if version == 1 else ("modulus", "phase_indices")
     try:
-        modulus, indices, *dim = (d[k] for k in keys)
+        modulus, indices = d["modulus"], d["phase_indices"]
     except KeyError as exc:
         raise ValueError(f"modulus-base record lacks {exc}") from None
-    if not isinstance(indices, list) or not all(type(v) is int for v in (modulus, *dim, *indices)):
-        raise ValueError("modulus, dim and phase indices must be JSON integers, not floats, strings or bools")
-    base = ModulusBase(modulus, indices)
-    if dim and dim[0] != base.dim:
-        raise ValueError(f"record dim {dim[0]} disagrees with its {base.dim} phase indices")
-    return base
+    if not isinstance(indices, list) or not all(type(v) is int for v in (modulus, *indices)):
+        raise ValueError("modulus and phase indices must be JSON integers, not floats, strings or bools")
+    return ModulusBase(modulus, indices)
 
 
 def save_base(base: ModulusBase, path) -> None:

@@ -344,6 +344,17 @@ def decode_residue_number(
     return crt_reconstruct(state.labels, sys.moduli), state
 
 
+def _count(value, name: str) -> int:
+    """An integer count of at least 1; a float, bool or string, or a count below 1, raises ValueError."""
+    try:
+        value = _index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def sub_integer_decode(
     sys: ResidueSystem,
     v,
@@ -368,10 +379,10 @@ def sub_integer_decode(
     A fractional value midway between integers makes "nearest" ambiguous
     per modulus, and mixing rounding directions across moduli would CRT
     to a far-off anchor, so the two top entries per modulus are combined
-    into the consistent anchor candidates and scored jointly.
+    into the consistent anchor candidates and scored jointly. Raises
+    ValueError, before any decode, unless r is an integer >= 1.
     """
-    if r < 1:
-        raise ValueError(f"partitions must be >= 1, got {r}")
+    r = _count(r, "partitions")
     state = resonator_factorize(v, sys.bases, config)
     v_vals = v.values if isinstance(v, PhasorVector) else np.asarray(v)
     M = sys.range_M
@@ -451,6 +462,14 @@ def consecutive_primes(start: int, count: int) -> list[int]:
     return out
 
 
+def _prime_windows(K: int):
+    """Every window of K consecutive primes, from (2, 3, ...) upward."""
+    window = consecutive_primes(2, K)
+    while True:
+        yield tuple(window)
+        window = window[1:] + consecutive_primes(window[-1] + 1, 1)
+
+
 def decode_accuracy(
     sys: ResidueSystem,
     trials: int,
@@ -461,13 +480,12 @@ def decode_accuracy(
     """Round-trip decode accuracy over random integers, with optional phase noise.
 
     Returns (accuracy, mean_evaluations), deterministic per seed;
-    raises ValueError when trials < 1. A right answer matches a noisy
-    input only at about I1(kappa)/I0(kappa), which can sit below
-    VERIFY_THRESHOLD; such a decode runs every attempt and returns the
-    best-scoring one.
+    raises ValueError unless trials is an integer >= 1. A right answer
+    matches a noisy input only at about I1(kappa)/I0(kappa), which can
+    sit below VERIFY_THRESHOLD; such a decode runs every attempt and
+    returns the best-scoring one.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _count(trials, "trials")
     M = sys.range_M
     base_cfg = config or ResonatorConfig(max_iters=30, max_restarts=3)
     hits, evaluations = [], []
@@ -543,27 +561,20 @@ def capacity_experiment(
     the next measured window is the first one whose M grows by at least
     `growth`. The sweep stops once accuracy falls below stop_threshold
     (default: the accuracy threshold itself) or M exceeds max_M. Raises
-    ValueError when K < 1, which leaves no window to measure.
+    ValueError unless K is an integer >= 1; K < 1 leaves no window to measure.
     """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    K = _count(K, "K")
     if stop_threshold is None:
         stop_threshold = accuracy_threshold
     result = CapacityResult(D=D, K=K, kappa=kappa, accuracy_threshold=accuracy_threshold)
-    primes = consecutive_primes(2, K + 64)
-    widx = 0
     last_M = 0
-    window_number = 0
-    while True:
-        while widx + K > len(primes):
-            primes += consecutive_primes(primes[-1] + 1, 64)
-        moduli = tuple(primes[widx : widx + K])
+    for moduli in _prime_windows(K):
         M = math.prod(moduli)
         if M < max(2, math.ceil(last_M * growth)):
-            widx += 1
             continue
         if max_M is not None and M > max_M:
             break
+        window_number = len(result.points)
         sys_seed = _child_seeds(seed, (window_number, 0))[0]
         sys = make_residue_system(moduli, D, sys_seed)
         acc, mean_evals = decode_accuracy(
@@ -576,8 +587,6 @@ def capacity_experiment(
         if acc < stop_threshold:
             break
         last_M = M
-        widx += 1
-        window_number += 1
     return result
 
 
@@ -594,10 +603,9 @@ def subinteger_experiment(
     Each trial draws x uniform on [0, M) and an offset j/r, encodes
     x + j/r, optionally adds phase noise, and requires the decoded
     Fraction to match exactly. Returns (accuracy, bits, P); raises
-    ValueError when trials < 1.
+    ValueError unless r and trials are integers >= 1.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    r, trials = _count(r, "partitions"), _count(trials, "trials")
     M = sys.range_M
     P = M * r
     base_cfg = config or ResonatorConfig(max_iters=30)

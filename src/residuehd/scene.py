@@ -169,11 +169,11 @@ class SceneCodec:
         self.n_features = n_features
         rng = np.random.default_rng(seed)
         self.feature_vectors = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_features, self.dim)))
-        # a standard-layout codebook holds the encodings 0 .. M-1 of one axis,
-        # which is that axis's composed base
+        # each layout is (horizontal books, vertical books); a standard axis is
+        # one book of the encodings 0 .. M-1, which is that axis's composed base
         self.layouts = {
-            "standard": [hsys.composed_base, vsys.composed_base],
-            "residue": [*hsys.bases, *vsys.bases],
+            "standard": ((hsys.composed_base,), (vsys.composed_base,)),
+            "residue": (hsys.bases, vsys.bases),
         }
 
     def encode_scene(self, maps: FeatureMaps) -> SceneVector:
@@ -183,7 +183,7 @@ class SceneCodec:
             raise ValueError(
                 f"grid {W}x{H} exceeds encodable range {self.hsys.range_M}x{self.vsys.range_M}"
             )
-        h_book, v_book = self.layouts["standard"]
+        (h_book,), (v_book,) = self.layouts["standard"]
         s = np.zeros(self.dim, dtype=np.complex128)
         for j, coeffs in sorted(maps.channels.items()):
             if not 0 <= j < self.n_features:
@@ -217,22 +217,20 @@ class SceneCodec:
         """
         if mode not in ("standard", "residue"):
             raise ValueError(f"unknown mode {mode!r}")
-        books = [object_codebook] + self.layouts[mode]
+        h_books, v_books = self.layouts[mode]
+        books = [object_codebook, *h_books, *v_books]
         total_vectors = sum(cb.n_entries for cb in books)
         config = config or ResonatorConfig(max_iters=15, max_restarts=9)
         z = phase_normalize(s.values)
         state = resonator_factorize(z, books, config)
-        if mode == "standard":
-            obj, x, y = state.labels
-        else:
-            obj = state.labels[0]
-            kh = len(self.hsys.moduli)
-            x = crt_reconstruct(state.labels[1 : 1 + kh], self.hsys.moduli)
-            y = crt_reconstruct(state.labels[1 + kh :], self.vsys.moduli)
+        # a standard axis has one book of modulus M, whose label CRT-reads as itself
+        h_end = 1 + len(h_books)
+        x = crt_reconstruct(state.labels[1:h_end], [b.modulus for b in h_books])
+        y = crt_reconstruct(state.labels[h_end:], [b.modulus for b in v_books])
         return SceneDecode(
-            object_id=int(obj),
-            x=int(x),
-            y=int(y),
+            object_id=int(state.labels[0]),
+            x=x,
+            y=y,
             converged=state.converged,
             evaluations=state.codebook_evaluations,
             restarts_used=state.restarts_used,

@@ -27,7 +27,7 @@ from residuehd.hexgrid import (
 )
 from residuehd.kernels import analytic_kernel, empirical_kernel, sinc_comb
 from residuehd.phasor import sample_base
-from residuehd.residue import add, make_residue_system, multiply
+from residuehd.residue import ResidueSystem, add, make_residue_system, multiply
 from residuehd.resonator import (
     ResonatorConfig,
     capacity_experiment,
@@ -68,8 +68,7 @@ def test_criterion_02_kernel_match():
     grid = np.round(np.arange(-8.0, 8.0 + 1e-9, 0.1), 10)
     worst_emp, worst_comb = 0.0, 0.0
     for m, seed in ((5, 1002), (6, 1003)):
-        base = sample_base(m, 50_000, seed=seed)
-        emp = empirical_kernel(base, grid)
+        emp = empirical_kernel(ResidueSystem([sample_base(m, 50_000, seed=seed)]), grid)
         ana = analytic_kernel(m, grid)
         comb = sinc_comb(m, grid, 10_000)
         worst_emp = max(worst_emp, float(np.max(np.abs(emp - ana))))

@@ -38,11 +38,15 @@ class TestKernelCommand:
         }
 
     def test_reruns_byte_identical(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["kernel", "--m", "5", "--D", "2000", "--out", str(out1)])
-        main(["kernel", "--m", "5", "--D", "2000", "--out", str(out2)])
-        assert read(out1 / "kernel_m5.csv") == read(out2 / "kernel_m5.csv")
-        assert read(out1 / "manifest.json") == read(out2 / "manifest.json")
+        # baselines writes its curves through the same CSV writer as kernel
+        for argv in (["kernel", "--m", "5", "--D", "2000"], ["baselines", "--scatter-seeds", "5"]):
+            out1, out2 = tmp_path / argv[0] / "a", tmp_path / argv[0] / "b"
+            assert main([*argv, "--out", str(out1)]) == 0
+            assert main([*argv, "--out", str(out2)]) == 0
+            names = sorted(f.name for f in out1.iterdir())
+            assert names == sorted(f.name for f in out2.iterdir()) and "manifest.json" in names
+            for name in names:
+                assert read(out1 / name) == read(out2 / name), name
 
 
 class TestConfigHandling:

@@ -9,13 +9,12 @@ from hypothesis import example, given, strategies
 from residuehd.kernels import (
     analytic_kernel,
     empirical_kernel,
-    kernel_curve,
     product_kernel,
     sinc_comb,
     write_curve_csv,
 )
 from residuehd.phasor import sample_base
-from residuehd.residue import make_residue_system
+from residuehd.residue import ResidueSystem, make_residue_system
 
 # odd and even moduli, so both closed-form branches are drawn
 moduli = strategies.integers(2, 64)
@@ -87,24 +86,22 @@ class TestSincComb:
 
 class TestEmpiricalKernel:
     def test_zero_offset_is_one(self):
-        base = sample_base(5, 2000, seed=0)
-        assert empirical_kernel(base, [0.0])[0] == 1.0
+        sys = ResidueSystem([sample_base(5, 2000, seed=0)])
+        assert empirical_kernel(sys, [0.0])[0] == 1.0
 
     def test_matches_analytic_modulus5(self):
-        base = sample_base(5, 20_000, seed=1)
+        # the kernel of one base is that of its one-base system
+        sys = ResidueSystem([sample_base(5, 20_000, seed=1)])
         grid = np.arange(-5.0, 5.0, 0.25)
-        emp = empirical_kernel(base, grid)
+        emp = empirical_kernel(sys, grid)
         assert np.max(np.abs(emp - analytic_kernel(5, grid))) <= 0.05
+        assert np.array_equal(product_kernel(sys.moduli, grid), analytic_kernel(5, grid))
 
     def test_system_kernel_is_product(self):
         sys = make_residue_system([3, 5], 20_000, seed=2)
         grid = np.arange(-4.0, 4.0, 0.5)
         emp = empirical_kernel(sys, grid)
         assert np.max(np.abs(emp - product_kernel([3, 5], grid))) <= 0.05
-
-    def test_rejects_unknown_encoder(self):
-        with pytest.raises(TypeError):
-            empirical_kernel(object(), [0.0])
 
 
 class TestProductKernel:
@@ -121,23 +118,37 @@ class TestProductKernel:
 
 class TestCurveEmitter:
     def test_csv_format(self, tmp_path):
-        base = sample_base(5, 2000, seed=3)
-        rows = kernel_curve(base, np.arange(-1.0, 1.01, 0.5))
+        sys = ResidueSystem([sample_base(5, 2000, seed=3)])
+        grid = np.arange(-1.0, 1.01, 0.5)
+        emp, ana = empirical_kernel(sys, grid), product_kernel(sys.moduli, grid)
         path = tmp_path / "curve.csv"
-        write_curve_csv(path, rows)
+        worst = write_curve_csv(path, grid, emp, ana)
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             assert header == ["dx", "empirical", "analytic", "abs_error"]
             data = list(reader)
-        assert len(data) == len(rows)
-        for (dx, emp, ana, err), row in zip(rows, data):
-            assert float(row[0]) == dx
-            assert float(row[3]) == err
+        assert len(data) == len(grid)
+        for dx, e, a, row in zip(grid, emp, ana, data):
+            assert [float(v) for v in row] == [dx, e, a, abs(e - a)]
             assert "," not in row[1]  # locale-independent decimal point
+        assert worst == max(float(row[3]) for row in data)
 
-    def test_abs_error_column(self):
-        base = sample_base(5, 2000, seed=4)
-        rows = kernel_curve(base, [0.0, 0.5])
-        for dx, emp, ana, err in rows:
-            assert err == abs(emp - ana)
+    def test_abs_error_column(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        worst = write_curve_csv(path, [0, 1], [1.0, 0.25], [1.0, 0.5])
+        assert path.read_text().splitlines()[1:] == ["0.0,1.0,1.0,0.0", "1.0,0.25,0.5,0.25"]
+        assert worst == 0.25
+
+    @pytest.mark.parametrize("dx, empirical, analytic", [
+        pytest.param([0.0, 1.0], [1.0, 0.5], [1.0], id="short-analytic"),
+        pytest.param([0.0, 1.0], [1.0], [1.0, 0.5], id="short-empirical"),
+        pytest.param([0.0], [1.0, 0.5], [1.0, 0.5], id="short-dx"),
+        pytest.param([[0.0, 1.0]], [[1.0, 0.5]], [[1.0, 0.5]], id="not-1d"),
+    ])
+    def test_malformed_columns_rejected(self, tmp_path, dx, empirical, analytic):
+        # zip would cut the file short at the shortest column
+        path = tmp_path / "curve.csv"
+        with pytest.raises(ValueError, match="one length"):
+            write_curve_csv(path, dx, empirical, analytic)
+        assert not path.exists()

@@ -31,12 +31,6 @@ from residuehd.phasor import (
 )
 
 
-def version_1_record(base):
-    """The record of `base` as the version-1 writer made it, with dim, seed and nonzero_only."""
-    return {"format": "residuehd/modulus-base", "version": 1, "modulus": base.modulus, "dim": base.dim,
-            "seed": 9, "nonzero_only": False, "phase_indices": base.phase_indices.tolist()}
-
-
 class TestSampleBase:
     def test_range_and_determinism(self):
         a = sample_base(5, 4, seed=123)
@@ -356,24 +350,21 @@ class TestSerialization:
         with pytest.raises(ValueError):
             base_from_dict(bad)
 
-    @pytest.mark.parametrize("key", ["modulus", "dim", "phase_indices"])
+    @pytest.mark.parametrize("key", ["modulus", "phase_indices"])
     def test_missing_key_rejected(self, key):
-        d = version_1_record(sample_base(5, 4, seed=21))
+        d = base_to_dict(sample_base(5, 4, seed=21))
         del d[key]
         with pytest.raises(ValueError, match=key):
             base_from_dict(d)
 
-    # explicit ids keep each case's name from when the list also held seed and nonzero_only cases
+    # explicit ids keep each case's name from when the list also held seed, nonzero_only and dim cases
     @pytest.mark.parametrize("change, match", [
         pytest.param({"modulus": 5.9}, "integers", id="change0-integers"),
-        pytest.param({"dim": 4.0}, "integers", id="change2-integers"),
         pytest.param({"phase_indices": [1.7, 2.2, 3.9, 0.5]}, "integers", id="change3-integers"),
         pytest.param({"phase_indices": ["1", "2", "3", "0"]}, "integers", id="change4-integers"),
-        pytest.param({"dim": 100}, "disagrees", id="change7-disagrees"),
-        pytest.param({"dim": 3}, "disagrees", id="change8-disagrees"),
     ])
     def test_malformed_record_rejected(self, change, match):
-        d = dict(version_1_record(sample_base(5, 4, seed=21)), **change)
+        d = dict(base_to_dict(sample_base(5, 4, seed=21)), **change)
         with pytest.raises(ValueError, match=match):
             base_from_dict(d)
 
@@ -390,10 +381,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             base_from_dict(dict(base_to_dict(sample_base(5, 4, seed=21)), **change))
 
-    def test_version_1_record_read(self):
-        base = sample_base(5, 4, seed=21, nonzero_only=True)
-        loaded = base_from_dict(version_1_record(base))
-        assert loaded.modulus == 5 and np.array_equal(loaded.phase_indices, base.phase_indices)
+    def test_version_1_record_rejected(self):
+        # the record as the version-1 writer made it, with dim, seed and nonzero_only
+        old = {"format": "residuehd/modulus-base", "version": 1, "modulus": 5, "dim": 4,
+               "seed": 9, "nonzero_only": False, "phase_indices": [4, 0, 2, 1]}
+        with pytest.raises(ValueError, match="version: 1"):
+            base_from_dict(old)
 
     def test_record_bytes_unchanged(self):
         d = base_to_dict(ModulusBase(modulus=5, phase_indices=np.array([4, 0, 2])))

@@ -68,7 +68,6 @@ def from_file(load, path):
 
 BASE = base_to_dict(sample_base(5, 4, seed=1))
 SYSTEM = system_to_dict(make_residue_system([3, 5], 4, seed=2))
-SYSTEM["bases"][0].update(version=1, dim=4, seed=3, nonzero_only=False)
 INSTANCE = {"items": [3, 4, 5], "target": 8, "ground_truth": [0, 2], "seed": 4}
 MAPS = {"grid": [4, 5], "channels": [{"id": 0, "coeffs": [[1, 2, 0.5], [4, 3, -1.0]]}, {"id": 7, "coeffs": []}]}
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies
 from hypothesis.extra.numpy import arrays
 
 import reference
-from residuehd import scene, subsetsum
+from residuehd import resonator, scene, subsetsum
 from residuehd.phasor import (
     ModulusBase,
     NoiseModel,
@@ -36,9 +36,11 @@ from residuehd.resonator import (
     capacity_experiment,
     codebook_decode,
     consecutive_primes,
+    decode_accuracy,
     decode_residue_number,
     resonator_factorize,
     sub_integer_decode,
+    subinteger_experiment,
 )
 
 
@@ -290,7 +292,8 @@ def _scene_case():
     codec = scene.SceneCodec(hsys, vsys, 4, seed=65)
     objects = scene.make_synthetic_objects(5, 4, (105, 105), footprint=8, coeffs_per_object=6, seed=66)
     s = codec.encode_scene(scene.translate_maps(objects[2], 40, 17))
-    books = [codec.build_object_codebook(objects)] + codec.layouts["standard"]
+    (h_book,), (v_book,) = codec.layouts["standard"]
+    books = [codec.build_object_codebook(objects), h_book, v_book]
     return phase_normalize(s.values).values, books
 
 
@@ -653,6 +656,11 @@ class TestCapacityExperiment:
         assert ms == sorted(ms)
         assert res.capacity >= ms[0]
 
+    def test_windows_slide_one_prime(self):
+        # growth 1 and a stop threshold of 0 measure every window up to max_M
+        res = capacity_experiment(D=64, K=2, trials=1, stop_threshold=0.0, growth=1.0, max_M=250)
+        assert [p.moduli for p in res.points] == [(2, 3), (3, 5), (5, 7), (7, 11), (11, 13), (13, 17)]
+
     @pytest.mark.parametrize("K", [0, -1])
     def test_no_moduli_rejected(self, K):
         # K = 0 builds empty windows with M = 1, which the sweep would skip forever
@@ -665,3 +673,26 @@ class TestCapacityExperiment:
         assert [(p.M, p.accuracy, p.mean_evaluations) for p in r1.points] == [
             (p.M, p.accuracy, p.mean_evaluations) for p in r2.points
         ]
+
+
+# each experiment count, called with the count under test and the rest valid
+COUNT_CALLS = {
+    "sub_integer_decode-r": lambda sys, n: sub_integer_decode(sys, sys.encode(1), n),
+    "subinteger_experiment-r": lambda sys, n: subinteger_experiment(sys, n, 2),
+    "subinteger_experiment-trials": lambda sys, n: subinteger_experiment(sys, 2, n),
+    "decode_accuracy-trials": lambda sys, n: decode_accuracy(sys, n),
+    "capacity_experiment-K": lambda sys, n: capacity_experiment(D=64, K=n, trials=1),
+}
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize("count", [True, 2.0, 2.5, "2"])
+    @pytest.mark.parametrize("call", list(COUNT_CALLS))
+    def test_non_integer_count_rejected_before_any_decode(self, monkeypatch, sys357, call, count):
+        # a bool was read as 1, and a float ran the resonator before range() refused it
+        def no_decode(*args, **kwargs):
+            raise AssertionError("a decode ran before the count was checked")
+
+        monkeypatch.setattr(resonator, "resonator_factorize", no_decode)
+        with pytest.raises(ValueError, match="must be an integer"):
+            COUNT_CALLS[call](sys357, count)

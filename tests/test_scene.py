@@ -246,8 +246,10 @@ class TestFactorization:
         for books in passed:
             assert books[0] is cb and len(books) == 1 + len(own)
             assert all(b is o for b, o in zip(books[1:], own))
-        standard = codec.layouts["standard"]
-        assert standard[0] is codec.hsys.composed_base and standard[1] is codec.vsys.composed_base
+        h_books, v_books = codec.layouts["residue"]
+        assert h_books is codec.hsys.bases and v_books is codec.vsys.bases
+        (h_book,), (v_book,) = codec.layouts["standard"]
+        assert h_book is codec.hsys.composed_base and v_book is codec.vsys.composed_base
 
     def test_unknown_mode_rejected(self):
         codec = small_codec()
