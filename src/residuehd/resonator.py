@@ -80,7 +80,9 @@ class Codebook:
     """Reference encodings stacked as matrix rows; entry i is row i.
 
     A step's summary is the coefficients conj(Z) @ x themselves, so a
-    step costs the O(m * D) of two matrix products.
+    step costs the O(m * D) of two matrix products. The library builds
+    one only for a scene's object book; residue books are ModulusBases
+    and subset-sum factors are ItemBooks.
     """
 
     __slots__ = ("matrix",)
@@ -288,7 +290,8 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
     prev = np.empty_like(state.estimates)
     residual, scratch = np.empty(D, dtype=np.complex128), np.empty(D, dtype=np.complex128)
     summaries = [None] * K  # each factor's last step summary, read once per attempt
-    best = None  # (claim cosine, estimates, labels)
+    best = None  # (claim cosine, labels) of the best failed attempt so far
+    best_estimates = None  # its estimates: one buffer, allocated at the first failed attempt
 
     for attempt in range(1 + config.max_restarts):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(attempt,)))
@@ -319,9 +322,13 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
             state.converged = True
             break
         if best is None or state.claim_cosine > best[0]:
-            best = (state.claim_cosine, state.estimates.copy(), state.labels.copy())
+            if best_estimates is None:
+                best_estimates = np.empty_like(state.estimates)
+            np.copyto(best_estimates, state.estimates)
+            best = (state.claim_cosine, state.labels.copy())
     else:
-        state.claim_cosine, state.estimates, state.labels = best
+        state.claim_cosine, state.labels = best
+        state.estimates = best_estimates
     return state
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .phasor import _index, phase_normalize
 from .residue import ResidueSystem, _child_seeds, crt_reconstruct, make_residue_system
-from .resonator import Codebook, ResonatorConfig, resonator_factorize
+from .resonator import Codebook, ResonatorConfig, _count, resonator_factorize
 
 __all__ = [
     "FeatureMaps",
@@ -281,10 +281,9 @@ def scene_experiment(
 
     Returns per-mode accuracy, mean codebook evaluations, and the
     codebook vector count, over a shared set of scenes. Raises
-    ValueError when n_scenes < 1.
+    ValueError, before any work, unless n_scenes is an integer >= 1.
     """
-    if n_scenes < 1:
-        raise ValueError(f"scenes must be >= 1, got {n_scenes}")
+    n_scenes = _count(n_scenes, "scenes")
     s_h, s_v, s_codec, s_obj, s_scene = _child_seeds(seed, (), 5)
     hsys = make_residue_system(moduli, D, s_h)
     vsys = make_residue_system(moduli, D, s_v)

@@ -3,8 +3,11 @@
 Each item S_k becomes a two-entry factor codebook {z(0), z(S_k)}, the
 binary decision to leave the item out or add it in. A product of one
 entry per factor encodes the sum of the included items, so a subset
-summing to T is a factorization of z(T). The resonator searches the
-2^|S| configurations with O(D * |S|) memory; every candidate it returns
+summing to T is a factorization of z(T). Since z(0) is all ones, a
+factor is stored as its item's encoding z(S_k) alone (an ItemBook),
+and its resonator step is a sum, one dot product and a scaled copy
+rather than two matrix products over two rows. The resonator searches
+the 2^|S| configurations with O(D * |S|) memory; every candidate it returns
 is verified by exact integer arithmetic before being reported, and
 failed attempts restart from fresh random phases (success probabilities
 compose across restarts like independent trials).
@@ -24,11 +27,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasor import PhasorVector, _index
+from .phasor import PhasorVector, _index, _unit_into
 from .residue import ResidueSystem, _child_seeds, make_residue_system
-from .resonator import Codebook, ResonatorConfig, resonator_factorize
+from .resonator import ResonatorConfig, _count, resonator_factorize
 
 __all__ = [
+    "ItemBook",
     "SubsetSumInstance",
     "SubsetSumResult",
     "consecutive_triple_moduli",
@@ -127,10 +131,10 @@ def generate_instance(n: int, sys: ResidueSystem, seed: int) -> SubsetSumInstanc
     """Random instance with a planted subset; item sizes scale to a max sum of M/2.
 
     Items are uniform on [1, M/(2n)] so any subset stays well inside the
-    representable range [0, M).
+    representable range [0, M). Raises ValueError, before any draw, unless
+    n is an integer >= 1.
     """
-    if n < 1:
-        raise ValueError(f"set size must be >= 1, got {n}")
+    n = _count(n, "set size")
     M = sys.range_M
     item_max = (M // 2) // n
     if item_max < 1:
@@ -145,18 +149,69 @@ def generate_instance(n: int, sys: ResidueSystem, seed: int) -> SubsetSumInstanc
     return SubsetSumInstance(items=items, target=target, ground_truth=subset, seed=int(seed))
 
 
-def build_factors(S: Sequence[int], sys: ResidueSystem) -> list[Codebook]:
-    """One two-entry codebook per item: row 0 is z(0) = 1, row 1 is z(S_k).
+class ItemBook:
+    """One item's two-entry factor: row 0 is z(0), leave the item out; row 1 is z(s), add it in.
 
-    Row 1 of every item is sys.encode(S_k), bit for bit, built in one exact
+    z(0) is all ones, so only z(s) is stored, as a read-only view of the
+    encoding it is given (no copy). The inner products conj(Z) @ x are
+    the sum of x and <z(s), x>, and the cleanup c @ Z is c[0] + c[1] z(s),
+    so a step costs one sum, one dot product and a scaled copy, O(D). A
+    step's summary is the two coefficients, as for a Codebook.
+    """
+
+    __slots__ = ("encoding",)
+    n_entries = 2
+
+    def __init__(self, encoding: np.ndarray):
+        z = np.asarray(encoding, dtype=np.complex128).view()
+        if z.ndim != 1 or z.size == 0:
+            raise ValueError(f"item encoding must be a non-empty 1-D array, got shape {z.shape}")
+        z.setflags(write=False)
+        self.encoding = z
+
+    @property
+    def dim(self) -> int:
+        return self.encoding.shape[0]
+
+    def coefficients(self, c: np.ndarray) -> np.ndarray:
+        """The inner products read from a step's summary, which here are the summary."""
+        return c
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """conj(Z) @ x: (sum of x, <z(s), x>)."""
+        return np.array([x.sum(), np.vdot(self.encoding, x)])
+
+    def step(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the unit estimate g(c[0] + c[1] z(s)) into out; return c = conj(Z) @ x."""
+        c = self.project(x)
+        # scalar first, as in c[1] * z: with the operands swapped numpy can
+        # round the imaginary parts differently in the last bit
+        np.multiply(c[1], self.encoding, out=out)
+        out += c[0]
+        _unit_into(out, out)
+        return c
+
+    def row(self, i: int) -> np.ndarray:
+        """Entry i: z(0), all ones (the bits of sys.encode(0)), or z(s); any other i raises IndexError."""
+        i = _index(i)
+        if i == 0:
+            return np.ones(self.dim, dtype=np.complex128)
+        if i == 1:
+            return self.encoding
+        raise IndexError(f"an item book has entries 0 and 1, not {i}")
+
+
+def build_factors(S: Sequence[int], sys: ResidueSystem) -> list[ItemBook]:
+    """One two-entry book per item, stored as its row 1, z(S_k).
+
+    Every item's z(S_k) is sys.encode(S_k), bit for bit, built in one exact
     vector from the indices of sys.composed_base.
     """
     base = sys.composed_base
     M = base.modulus
     s = np.array([int(x) % M for x in S], dtype=np.int64)
-    rows = np.ones((s.shape[0], 2, sys.dim), dtype=np.complex128)
-    rows[:, 1] = PhasorVector.exact(base.phase_indices * s[:, None], M).values
-    return [Codebook(r) for r in rows]
+    rows = PhasorVector.exact(base.phase_indices * s[:, None], M).values
+    return [ItemBook(r) for r in rows]
 
 
 def solve(
@@ -255,10 +310,10 @@ def benchmark(
     wall-clock time (hardware-dependent, informational only), and the
     brute-force comparison count 2^|S| expressed in resonator-sweep
     units (each sweep costs 2|S| inner products). Result rows carry one
-    solved/failed record per instance. Raises ValueError when trials < 1.
+    solved/failed record per instance. Raises ValueError, before any
+    work, unless trials is an integer >= 1.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _count(trials, "trials")
     summary = []
     result_rows = []
     base_cfg = config or ResonatorConfig(max_iters=30, max_restarts=19)

@@ -410,6 +410,22 @@ class TestFactorize:
         assert not st.converged
         assert st.labels.shape == (3,)  # best-effort labels still reported
 
+    def test_failed_run_returns_its_best_attempt(self, sys357, books357):
+        # attempt a draws from the same seed whatever the restart budget, so
+        # the run with budget r holds the best of attempts 0 .. r
+        v = np.exp(1j * np.random.default_rng(2).uniform(0, 2 * np.pi, sys357.dim))
+        R = 6
+        runs = [resonator_factorize(v, books357, ResonatorConfig(max_iters=20, max_restarts=r, seed=3))
+                for r in range(R + 1)]
+        assert not any(st.converged for st in runs)
+        cosines = [st.claim_cosine for st in runs]
+        first_best = cosines.index(max(cosines))
+        assert first_best < R  # a later, worse attempt must not replace the best
+        final = runs[R]
+        assert final.claim_cosine == max(cosines)
+        assert final.estimates.tobytes() == runs[first_best].estimates.tobytes()
+        assert np.array_equal(final.labels, runs[first_best].labels)
+
     def test_convergence_claim_reproduces_input(self, sys357, books357):
         rng = np.random.default_rng(4)
         inputs = [sys357.encode(5).values, sys357.encode(88).values,

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from residuehd.resonator import ResonatorConfig
+from residuehd import scene, subsetsum
+from residuehd.phasor import phase_normalize
+from residuehd.resonator import Codebook, ResonatorConfig
 from residuehd.subsetsum import (
+    ItemBook,
     SubsetSumInstance,
     benchmark,
     brute_force_baseline,
@@ -112,13 +115,14 @@ class TestFactors:
         assert sum(cb.n_entries for cb in books) == 12
         for cb, s in zip(books, S):
             assert cb.n_entries == 2
-            assert np.allclose(cb.matrix[0], sys200.encode(0).values)
-            assert np.allclose(cb.matrix[1], sys200.encode(s).values)
+            assert np.allclose(cb.row(0), sys200.encode(0).values)
+            assert np.allclose(cb.row(1), sys200.encode(s).values)
 
     def test_memory_footprint_linear(self, sys200):
+        # z(0) is all ones and not stored: one D-vector per item
         books = build_factors(tuple(range(1, 9)), sys200)
-        total = sum(cb.matrix.size for cb in books)
-        assert total == 2 * 8 * sys200.dim
+        total = sum(cb.encoding.size for cb in books)
+        assert total == 8 * sys200.dim
 
     def test_selected_product_encodes_sum(self, sys200):
         from residuehd.phasor import hadamard
@@ -140,8 +144,80 @@ class TestFactors:
         books = build_factors(items, sys)
         assert len(books) == len(items)
         for s, book in zip(items, books):
-            assert book.matrix[0].tobytes() == sys.encode(0).values.tobytes()
-            assert book.matrix[1].tobytes() == sys.encode(s).values.tobytes()
+            assert book.row(0).tobytes() == sys.encode(0).values.tobytes()
+            assert book.row(1).tobytes() == sys.encode(s).values.tobytes()
+
+
+class TestItemBook:
+    @settings(max_examples=60, deadline=None)
+    @given(D=strategies.integers(1, 2048), item=strategies.integers(1, 10**6),
+           kind=strategies.sampled_from(["real", "complex", "strided"]), seed=strategies.integers(0, 2**16))
+    def test_step_equals_dense(self, D, item, kind, seed):
+        # the one-row step against the matrix products on the two dense rows
+        sys = make_subsetsum_system(200, D, seed)
+        (book,) = build_factors([item], sys)
+        assert (book.n_entries, book.dim) == (2, D)
+        rng = np.random.default_rng(seed)
+        if kind == "real":
+            x = rng.normal(size=D)
+        else:
+            z = rng.normal(size=2 * D) + 1j * rng.normal(size=2 * D)
+            x = z[:D] if kind == "complex" else z[::2]
+        dense = Codebook(np.stack([book.row(0), book.row(1)]))
+        want_est = np.empty(D, dtype=np.complex128)
+        want_c = dense.coefficients(dense.step(x, want_est))
+        cleaned = want_c @ dense.matrix
+
+        def rel_err(got, want):
+            return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+        est = np.empty(D, dtype=np.complex128)
+        c = book.coefficients(book.step(x, est))
+        assert rel_err(c, want_c) <= 1e-12
+        assert rel_err(book.project(x), want_c) <= 1e-12
+        assert est.tobytes() == phase_normalize(c[1] * book.encoding + c[0]).values.tobytes()
+        assert np.allclose(np.abs(est), 1.0, atol=1e-15)
+        # each phase weighted by its magnitude: a component that cleans up to
+        # nearly zero has an ill-conditioned phase in both computations
+        assert rel_err(est * np.abs(cleaned), cleaned) <= 1e-12
+
+    def test_encoding_read_only_and_two_rows(self, sys200):
+        (book,) = build_factors([7], sys200)
+        assert not book.encoding.flags.writeable
+        with pytest.raises(ValueError):
+            book.encoding[0] = 0
+        assert book.row(1) is book.encoding
+        for i in (2, -1):
+            with pytest.raises(IndexError):
+                book.row(i)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 4), ()])
+    def test_encoding_must_be_a_vector(self, shape):
+        with pytest.raises(ValueError, match="1-D"):
+            ItemBook(np.ones(shape, dtype=np.complex128))
+
+
+# each count, called with the count under test and the rest valid
+COUNT_CALLS = {
+    "generate_instance-n": lambda sys, n: generate_instance(n, sys, seed=0),
+    "benchmark-trials": lambda sys, n: benchmark([2], [64], trials=n),
+    "scene_experiment-n_scenes": lambda sys, n: scene.scene_experiment(n, 64),
+}
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize("count", [True, 2.0, 2.5, "2"])
+    @pytest.mark.parametrize("call", list(COUNT_CALLS))
+    def test_non_integer_count_rejected_before_any_work(self, monkeypatch, sys200, call, count):
+        # a bool was read as 1, and a float built everything before range() refused it
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began before the count was checked")
+
+        monkeypatch.setattr(subsetsum, "make_residue_system", no_work)
+        monkeypatch.setattr(scene, "make_residue_system", no_work)
+        monkeypatch.setattr(np.random, "default_rng", no_work)  # generate_instance's draws
+        with pytest.raises(ValueError, match="must be an integer"):
+            COUNT_CALLS[call](sys200, count)
 
 
 class TestSolve:
