@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasor import ModulusBase, PhasorVector, centered_indices, hadamard, sample_base, similarity
+from .phasor import ModulusBase, PhasorVector, _count, centered_indices, hadamard, sample_base, similarity
 from .residue import ResidueSystem, _child_seeds, crt_reconstruct
 from .resonator import ResonatorConfig, resonator_factorize
 
@@ -180,8 +180,7 @@ class HexSystem:
 
 def hex_state_count(m: int) -> int:
     """Distinct states of a hexagonal code with modulus m: 3m^2 - 3m + 1."""
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
+    m = _count(m, "modulus")
     return 3 * m * m - 3 * m + 1
 
 
@@ -191,8 +190,7 @@ def hex_state_count_enumerated(m: int) -> int:
     Every orbit has exactly one representative with a zero minimum
     coordinate, so counting canonical forms counts orbits.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
+    m = _count(m, "modulus")
     seen = set()
     for a in range(m):
         for b in range(m):
@@ -204,16 +202,13 @@ def hex_state_count_enumerated(m: int) -> int:
 
 def square_state_count(m: int) -> int:
     """Distinct states of a square code with modulus m per axis."""
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
+    m = _count(m, "modulus")
     return m * m
 
 
 def code_entropy(states: int) -> float:
     """Shannon entropy in bits of a uniform code over `states` states."""
-    if states < 1:
-        raise ValueError(f"states must be >= 1, got {states}")
-    return math.log2(states)
+    return math.log2(_count(states, "states"))
 
 
 def write_hex_heatmap_csv(path, hexsys: HexSystem, xs, ys) -> None:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasor import similarity
+from .phasor import _count, _index, similarity
 from .residue import ResidueSystem
 
 __all__ = [
@@ -38,8 +38,9 @@ def analytic_kernel(m: int, dx):
     """Closed-form kernel K_m at offset dx (scalar or array).
 
     Returns exactly 1.0 at dx = 0 (mod m) and exactly 0.0 at all other
-    integer offsets.
+    integer offsets. m must be an integer.
     """
+    m = _index(m, "modulus")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     dx = np.asarray(dx, dtype=float)
@@ -58,9 +59,11 @@ def analytic_kernel(m: int, dx):
 
 
 def sinc_comb(m: int, dx, n_terms: int):
-    """Truncated sinc comb: sum over s in [-n_terms, n_terms] of sinc(dx - m s)."""
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    """Truncated sinc comb: sum over s in [-n_terms, n_terms] of sinc(dx - m s).
+
+    m and n_terms must be integers, and n_terms at least 1.
+    """
+    m, n_terms = _index(m, "modulus"), _count(n_terms, "n_terms")
     dx = np.asarray(dx, dtype=float)
     s = np.arange(-n_terms, n_terms + 1, dtype=float)
     out = np.sinc(dx[..., None] - m * s).sum(axis=-1)

@@ -60,13 +60,31 @@ _UNIT_TOL = 1e-9
 _MAX_PERIOD = math.isqrt(2**63 - 1)
 
 
-def _index(value) -> int:
-    """operator.index that also refuses a bool, so a JSON true or false is not read as 1 or 0."""
-    if type(value) is int:  # the common case, without the two calls below
+class _NotAnInteger(TypeError, ValueError):
+    """A non-integer where an integer is expected: both a TypeError and a ValueError, like io.UnsupportedOperation."""
+
+
+def _index(value, name: str = "value") -> int:
+    """operator.index that also refuses a bool, so a JSON true or false is not read as 1 or 0.
+
+    Anything else that is not an integer raises _NotAnInteger, naming the parameter `name`.
+    """
+    if type(value) is int:  # the common case, without the calls below
         return value
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got the bool {value}")
-    return operator.index(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:  # a float, a string or a non-scalar array
+            pass
+    raise _NotAnInteger(f"{name} must be an integer, got {value!r}")
+
+
+def _count(value, name: str) -> int:
+    """An integer count of at least 1; a count below 1 raises ValueError."""
+    value = _index(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 class PhasorVector:
@@ -95,10 +113,7 @@ class PhasorVector:
         1 <= period <= _MAX_PERIOD and the indices have an integer dtype, so
         neither is truncated.
         """
-        try:
-            period = _index(period)
-        except TypeError:
-            raise ValueError(f"period must be an integer, got {period!r}") from None
+        period = _index(period, "period")
         if not 1 <= period <= _MAX_PERIOD:
             raise ValueError(f"period must lie in [1, {_MAX_PERIOD}], got {period}")
         idx = np.asarray(indices)
@@ -183,10 +198,7 @@ class ModulusBase:
     phase_indices: np.ndarray
 
     def __post_init__(self):
-        try:
-            m = _index(self.modulus)
-        except TypeError:
-            raise ValueError(f"modulus must be an integer, got {self.modulus!r}") from None
+        m = _index(self.modulus, "modulus")
         if m > _MAX_PERIOD:
             raise ValueError(f"modulus {m} exceeds the exact period limit {_MAX_PERIOD}")
         idx = np.asarray(self.phase_indices)
@@ -269,10 +281,7 @@ def sample_base(m: int, D: int, seed: int, nonzero_only: bool = False) -> Modulu
     Deterministic for a fixed seed. Raises ValueError unless m and D are
     integers (not bools) with m >= 2 and D >= 1.
     """
-    try:
-        m, D = _index(m), _index(D)
-    except TypeError as exc:
-        raise ValueError(f"modulus and D must be integers: {exc}") from None
+    m, D = _index(m, "modulus"), _index(D, "D")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     rng = np.random.default_rng(seed)
@@ -288,12 +297,12 @@ def encode_integer(base: ModulusBase, x: int) -> PhasorVector:
     """z(x) = z^x in exact form: component j gets index (u_j * x) mod m.
 
     Periodic in x with period m, so x and x + m encode identically. x must
-    be an integer (a Python or numpy int, not a bool); a float raises
-    TypeError rather than being truncated.
+    be an integer (a Python or numpy int, not a bool); a float raises an
+    error that is both a TypeError and a ValueError, rather than being truncated.
     """
     m = base.modulus
     # u * (x mod m) < m^2 fits int64 by the exact period limit, and exact() reduces it mod m
-    return PhasorVector.exact(base.phase_indices * (_index(x) % m), m)
+    return PhasorVector.exact(base.phase_indices * (_index(x, "x") % m), m)
 
 
 def centered_indices(base: ModulusBase) -> np.ndarray:

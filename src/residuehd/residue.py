@@ -275,10 +275,11 @@ def crt_reconstruct(residues: Sequence[int], moduli: Sequence[int]) -> int:
     """Unique x in [0, M) with x = r_k (mod m_k) for all k.
 
     Residues and moduli must be integers (Python or numpy ints); a float or
-    bool raises TypeError rather than being truncated.
+    bool raises an error that is both a TypeError and a ValueError rather
+    than being truncated.
     """
-    residues = [_index(r) for r in residues]
-    moduli = [_index(m) for m in moduli]
+    residues = [_index(r, "residue") for r in residues]
+    moduli = [_index(m, "modulus") for m in moduli]
     if len(residues) != len(moduli):
         raise ValueError("residues and moduli must have the same length")
     _check_pairwise_coprime(moduli)

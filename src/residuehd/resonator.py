@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import analytic_kernel
-from .phasor import ModulusBase, NoiseModel, PhasorVector, _index, _unit_into, add_phase_noise
+from .phasor import ModulusBase, NoiseModel, PhasorVector, _count, _index, _unit_into, add_phase_noise
 from .residue import ResidueSystem, _child_seeds, _is_prime, crt_reconstruct, make_residue_system
 
 __all__ = [
@@ -147,9 +147,9 @@ class ResonatorConfig:
     the codebook entries it decoded has cosine at least VERIFY_THRESHOLD
     with the input; otherwise the loop restarts from fresh random
     phases, up to max_restarts times. Both counts, and the seed unless
-    it is None, must be integers (a float or bool raises ValueError),
-    and none may be negative. `verify` is accepted for old callers only
-    and must be True.
+    it is None, must be integers (a float, bool or string raises an error
+    that is both a TypeError and a ValueError), and none may be negative.
+    `verify` is accepted for old callers only and must be True.
     """
 
     max_iters: int = 50
@@ -160,12 +160,10 @@ class ResonatorConfig:
     def __post_init__(self, verify):
         if not verify:
             raise ValueError("every resonator run verifies its answer; verify=False is not supported")
-        try:
-            self.max_iters, self.max_restarts = _index(self.max_iters), _index(self.max_restarts)
-            if self.seed is not None:
-                self.seed = _index(self.seed)
-        except TypeError as exc:
-            raise ValueError(f"max_iters, max_restarts and seed must be integers: {exc}") from None
+        self.max_iters = _index(self.max_iters, "max_iters")
+        self.max_restarts = _index(self.max_restarts, "max_restarts")
+        if self.seed is not None:
+            self.seed = _index(self.seed, "seed")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.max_restarts < 0:
@@ -351,17 +349,6 @@ def decode_residue_number(
     return crt_reconstruct(state.labels, sys.moduli), state
 
 
-def _count(value, name: str) -> int:
-    """An integer count of at least 1; a float, bool or string, or a count below 1, raises ValueError."""
-    try:
-        value = _index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
-
-
 def sub_integer_decode(
     sys: ResidueSystem,
     v,
@@ -445,7 +432,7 @@ def bits_per_vector(a: float, P: int) -> float:
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"accuracy must be in [0, 1], got {a}")
-    if P < 2:
+    if _index(P, "P") < 2:
         raise ValueError(f"search space must be >= 2, got {P}")
     out = 0.0
     if a > 0.0:
@@ -459,9 +446,10 @@ def bits_per_vector(a: float, P: int) -> float:
 
 
 def consecutive_primes(start: int, count: int) -> list[int]:
-    """The first `count` primes >= start."""
+    """The first `count` primes >= start; both must be integers."""
+    count = _index(count, "count")
     out = []
-    n = max(2, start)
+    n = max(2, _index(start, "start"))
     while len(out) < count:
         if _is_prime(n):
             out.append(n)

@@ -30,9 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasor import _index, phase_normalize
+from .phasor import _count, _index, phase_normalize
 from .residue import ResidueSystem, _child_seeds, crt_reconstruct, make_residue_system
-from .resonator import Codebook, ResonatorConfig, _count, resonator_factorize
+from .resonator import Codebook, ResonatorConfig, resonator_factorize
 
 __all__ = [
     "FeatureMaps",
@@ -107,8 +107,9 @@ class SceneDecode:
 def load_feature_maps(path) -> FeatureMaps:
     """Read the {grid, channels} JSON format; a malformed file raises ValueError.
 
-    Checks the JSON shape, naming the entry at fault, and that no channel id
-    repeats; FeatureMaps checks the values, so a float position is rejected.
+    Checks the JSON shape, naming the entry at fault, that no channel id
+    repeats and that no value is a JSON true or false; FeatureMaps checks
+    the values, so a float position is rejected.
     """
     doc = json.loads(Path(path).read_text(encoding="ascii"))
     if not isinstance(doc, dict) or "grid" not in doc or not isinstance(doc.get("channels"), list):
@@ -123,8 +124,10 @@ def load_feature_maps(path) -> FeatureMaps:
         if ch["id"] in channels:
             raise ValueError(f"channel entry {c_idx}: id {ch['id']} repeats an earlier channel")
         for k, row in enumerate(ch["coeffs"]):
-            if not (isinstance(row, list) and len(row) == 3):
-                raise ValueError(f"channel {ch['id']}, coeff {k}: expected [x, y, value], got {row!r}")
+            # FeatureMaps would read a bool value as 1.0 or 0.0; checked here, off the translate path
+            if not (isinstance(row, list) and len(row) == 3 and not isinstance(row[2], bool)):
+                raise ValueError(f"channel {ch['id']}, coeff {k}: expected [x, y, value] with a number value, "
+                                 f"got {row!r}")
         channels[ch["id"]] = tuple(map(tuple, ch["coeffs"]))
     return FeatureMaps(grid=tuple(grid), channels=channels)
 
@@ -246,10 +249,17 @@ def make_synthetic_objects(
     coeffs_per_object: int = 20,
     seed: int = 0,
 ) -> list[FeatureMaps]:
-    """Random sparse canonical-frame objects within a footprint at the origin."""
+    """Random sparse canonical-frame objects within a footprint at the origin.
+
+    Each object's coefficients sit at distinct (channel, x, y) slots, so
+    coeffs_per_object may not exceed n_features * footprint**2.
+    """
     H, W = grid
     if footprint > min(H, W):
         raise ValueError("footprint exceeds grid")
+    slots = n_features * footprint**2
+    if coeffs_per_object > slots:
+        raise ValueError(f"{coeffs_per_object} coefficients per object exceed the {slots} (channel, x, y) slots")
     rng = np.random.default_rng(seed)
     objects = []
     for _ in range(n_objects):

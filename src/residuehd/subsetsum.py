@@ -27,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasor import PhasorVector, _index, _unit_into
+from .phasor import PhasorVector, _count, _index, _unit_into
 from .residue import ResidueSystem, _child_seeds, make_residue_system
-from .resonator import ResonatorConfig, _count, resonator_factorize
+from .resonator import ResonatorConfig, resonator_factorize
 
 __all__ = [
     "ItemBook",
@@ -58,12 +58,10 @@ class SubsetSumInstance:
     seed: int | None = None
 
     def __post_init__(self):
-        try:
-            items, target = tuple(map(_index, self.items)), _index(self.target)
-            gt = None if self.ground_truth is None else tuple(sorted(map(_index, self.ground_truth)))
-            seed = None if self.seed is None else _index(self.seed)
-        except TypeError as exc:
-            raise ValueError(f"items, target, ground truth and seed must be integers: {exc}") from None
+        items = tuple(_index(s, "item") for s in self.items)
+        target = _index(self.target, "target")
+        gt = None if self.ground_truth is None else tuple(sorted(_index(i, "ground_truth") for i in self.ground_truth))
+        seed = None if self.seed is None else _index(self.seed, "seed")
         for name, value in (("items", items), ("target", target), ("ground_truth", gt), ("seed", seed)):
             object.__setattr__(self, name, value)
         if any(s <= 0 for s in items):
@@ -99,9 +97,10 @@ def consecutive_triple_moduli(m: int) -> tuple[int, int, int]:
 
     Odd m fails (m-1 and m+1 are both even); for even m, m-1 and m+1 are
     odd and differ by 2, so the triple is pairwise co-prime. m must be an
-    integer; a float, string or bool raises TypeError rather than being truncated.
+    integer; a float, string or bool raises an error that is both a TypeError and a ValueError
+    rather than being truncated.
     """
-    m = max(_index(m), 4)
+    m = max(_index(m, "m"), 4)
     m += m % 2
     return (m - 1, m, m + 1)
 
@@ -193,7 +192,7 @@ class ItemBook:
 
     def row(self, i: int) -> np.ndarray:
         """Entry i: z(0), all ones (the bits of sys.encode(0)), or z(s); any other i raises IndexError."""
-        i = _index(i)
+        i = _index(i, "i")
         if i == 0:
             return np.ones(self.dim, dtype=np.complex128)
         if i == 1:
@@ -205,11 +204,12 @@ def build_factors(S: Sequence[int], sys: ResidueSystem) -> list[ItemBook]:
     """One two-entry book per item, stored as its row 1, z(S_k).
 
     Every item's z(S_k) is sys.encode(S_k), bit for bit, built in one exact
-    vector from the indices of sys.composed_base.
+    vector from the indices of sys.composed_base. Every item must be an
+    integer; a float, string or bool raises an error that is both a TypeError and a ValueError.
     """
     base = sys.composed_base
     M = base.modulus
-    s = np.array([int(x) % M for x in S], dtype=np.int64)
+    s = np.array([_index(x, "item") % M for x in S], dtype=np.int64)
     rows = PhasorVector.exact(base.phase_indices * s[:, None], M).values
     return [ItemBook(r) for r in rows]
 
@@ -248,12 +248,13 @@ def exact_baseline(S: Sequence[int], T: int):
     Reachability is tracked in a single big-int bitset (bit s set iff
     sum s is reachable), and the subset is reconstructed by walking the
     per-prefix bitsets backward. Items and target must be integers; a
-    float, string or bool raises TypeError rather than being truncated.
+    float, string or bool raises an error that is both a TypeError and a ValueError
+    rather than being truncated.
     """
-    S = [_index(s) for s in S]
+    S = [_index(s, "item") for s in S]
     if any(s <= 0 for s in S):
         raise ValueError("items must be positive integers")
-    T = _index(T)
+    T = _index(T, "target")
     if T < 0:
         return None
     prefix = [1]
@@ -277,10 +278,11 @@ def exact_baseline(S: Sequence[int], T: int):
 def brute_force_baseline(S: Sequence[int], T: int):
     """2^|S| enumeration, the oracle of oracles for small instances.
 
-    Items and target must be integers; a float, string or bool raises TypeError.
+    Items and target must be integers; a float, string or bool raises
+    an error that is both a TypeError and a ValueError.
     """
-    S = [_index(s) for s in S]
-    T = _index(T)
+    S = [_index(s, "item") for s in S]
+    T = _index(T, "target")
     n = len(S)
     if n > 22:
         raise ValueError("brute force limited to |S| <= 22")

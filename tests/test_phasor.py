@@ -9,6 +9,8 @@ from hypothesis import given, strategies
 from hypothesis.extra.numpy import arrays
 from scipy import special
 
+from residuehd.hexgrid import HexSystem, code_entropy, hex_state_count, hex_state_count_enumerated, square_state_count
+from residuehd.kernels import analytic_kernel, product_kernel, sinc_comb
 from residuehd.phasor import (
     _MAX_PERIOD,
     _unit_into,
@@ -28,6 +30,16 @@ from residuehd.phasor import (
     sample_base,
     save_base,
     similarity,
+)
+from residuehd.residue import crt_reconstruct, make_residue_system
+from residuehd.resonator import ResonatorConfig, bits_per_vector, consecutive_primes
+from residuehd.subsetsum import (
+    ItemBook,
+    SubsetSumInstance,
+    brute_force_baseline,
+    build_factors,
+    consecutive_triple_moduli,
+    exact_baseline,
 )
 
 
@@ -64,7 +76,7 @@ class TestSampleBase:
                              ids=["str-modulus", "float-D", "bool-modulus", "bool-D"])
     def test_non_integer_parameters_raise_value_error(self, m, D):
         # a string modulus once reached `m < 2`, and a float D numpy, both as TypeError
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="^(modulus|D) must be an integer, got "):
             sample_base(m, D, seed=0)
 
     def test_base_invariants(self):
@@ -444,3 +456,74 @@ class TestExactPeriodLimit:
         # two indices just below the limit: their sum and product fit in int64
         a = PhasorVector.exact(np.array([_MAX_PERIOD - 1]), _MAX_PERIOD)
         assert hadamard(a, a).indices.tolist() == [(2 * (_MAX_PERIOD - 1)) % _MAX_PERIOD]
+
+
+class TestIntegerRule:
+    """A non-integer where the library expects an integer raises one error, both a TypeError and a ValueError."""
+
+    NON_INTEGERS = [2.5, True, "2"]
+
+    @staticmethod
+    def raises_both(call):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
+        return str(info.value)
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    @pytest.mark.parametrize("call", [
+        # each of these once returned a wrong answer for at least one of the values
+        lambda v: build_factors([v], make_residue_system([3, 5], 8, seed=0)),
+        lambda v: consecutive_primes(v, 3),
+        lambda v: consecutive_primes(2, v),
+        lambda v: analytic_kernel(v, 1.0),
+        lambda v: product_kernel([v], 1.0),
+        lambda v: sinc_comb(v, 0.3, 2),
+        lambda v: sinc_comb(5, 0.3, v),
+        lambda v: hex_state_count(v),
+        lambda v: hex_state_count_enumerated(v),
+        lambda v: square_state_count(v),
+        lambda v: code_entropy(v),
+        lambda v: bits_per_vector(0.5, v),
+    ], ids=["build_factors", "consecutive_primes-start", "consecutive_primes-count", "analytic_kernel",
+            "product_kernel", "sinc_comb-m", "sinc_comb-n_terms", "hex_state_count", "hex_state_count_enumerated",
+            "square_state_count", "code_entropy", "bits_per_vector"])
+    def test_no_silent_truncation(self, call, value):
+        self.raises_both(lambda: call(value))
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    @pytest.mark.parametrize("name, call", [
+        # the constructors once translated the error into a plain ValueError
+        ("period", lambda v: PhasorVector.exact(np.zeros(4, dtype=np.int64), v)),
+        ("modulus", lambda v: ModulusBase(v, np.zeros(4, dtype=np.int64))),
+        ("modulus", lambda v: sample_base(v, 8, seed=0)),
+        ("D", lambda v: sample_base(5, v, seed=0)),
+        ("max_iters", lambda v: ResonatorConfig(max_iters=v)),
+        ("max_restarts", lambda v: ResonatorConfig(max_restarts=v)),
+        ("seed", lambda v: ResonatorConfig(seed=v)),
+        ("item", lambda v: SubsetSumInstance(items=(v, 2), target=2)),
+        ("target", lambda v: SubsetSumInstance(items=(1, 2), target=v)),
+        ("ground_truth", lambda v: SubsetSumInstance(items=(1, 2), target=2, ground_truth=(v,))),
+        ("seed", lambda v: SubsetSumInstance(items=(1, 2), target=2, seed=v)),
+        # and these raised a plain TypeError
+        ("x", lambda v: encode_integer(sample_base(5, 8, seed=0), v)),
+        ("x", lambda v: make_residue_system([3, 5], 8, seed=0).encode(v)),
+        ("x", lambda v: make_residue_system([3, 5], 8, seed=0).encode_factors(v)),
+        ("x", lambda v: HexSystem(3, 8, seed=0).encode((v, 0, 0))),
+        ("residue", lambda v: crt_reconstruct([v], [5])),
+        ("modulus", lambda v: crt_reconstruct([1], [v])),
+        ("m", lambda v: consecutive_triple_moduli(v)),
+        ("item", lambda v: exact_baseline([v], 2)),
+        ("target", lambda v: exact_baseline([2], v)),
+        ("item", lambda v: brute_force_baseline([v], 2)),
+        ("target", lambda v: brute_force_baseline([2], v)),
+        ("i", lambda v: ItemBook(np.ones(4)).row(v)),
+    ], ids=["PhasorVector.exact", "ModulusBase", "sample_base-m", "sample_base-D", "ResonatorConfig-max_iters",
+            "ResonatorConfig-max_restarts", "ResonatorConfig-seed", "SubsetSumInstance-items",
+            "SubsetSumInstance-target", "SubsetSumInstance-ground_truth", "SubsetSumInstance-seed",
+            "encode_integer", "ResidueSystem.encode", "ResidueSystem.encode_factors", "HexSystem.encode",
+            "crt_reconstruct-residues", "crt_reconstruct-moduli", "consecutive_triple_moduli",
+            "exact_baseline-S", "exact_baseline-T", "brute_force_baseline-S", "brute_force_baseline-T",
+            "ItemBook.row"])
+    def test_error_is_both_types_and_names_the_parameter(self, name, call, value):
+        assert self.raises_both(lambda: call(value)) == f"{name} must be an integer, got {value!r}"

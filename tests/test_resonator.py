@@ -482,7 +482,7 @@ class TestFactorize:
                                               ("max_restarts", 1.5), ("max_restarts", True)])
     def test_config_counts_must_be_integers(self, field, value):
         # max_iters=2.5 was once accepted and failed later inside the sweep
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             ResonatorConfig(**{field: value})
         cfg = ResonatorConfig(max_iters=np.int64(7), max_restarts=np.int32(2))
         assert (type(cfg.max_iters), type(cfg.max_restarts)) == (int, int)
@@ -490,7 +490,7 @@ class TestFactorize:
     @pytest.mark.parametrize("seed", [1.5, "3", True])
     def test_config_seed_must_be_an_integer(self, seed):
         # these once failed only inside the first decode, and True meant 1
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
             ResonatorConfig(seed=seed)
 
     def test_config_seed_must_not_be_negative(self):

@@ -129,6 +129,29 @@ class TestFeatureMaps:
         with pytest.raises(ValueError):
             load_feature_maps(path)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_json_bool_value_rejected(self, tmp_path, value):
+        # loaded as 1.0 and 0.0 once
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"grid": [4, 4], "channels": [{"id": 0, "coeffs": [[1, 1, value]]}]}))
+        with pytest.raises(ValueError, match="channel 0, coeff 0"):
+            load_feature_maps(path)
+
+
+class TestSyntheticObjects:
+    def test_more_coefficients_than_slots_rejected_before_any_draw(self, monkeypatch):
+        # 20 coefficients in 1 * 4 * 4 = 16 distinct slots once looped forever
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew coefficients")
+
+        monkeypatch.setattr(scene.np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="20 coefficients per object exceed the 16"):
+            make_synthetic_objects(1, 1, (105, 105), footprint=4, coeffs_per_object=20)
+
+    def test_every_slot_can_be_filled(self):
+        (obj,) = make_synthetic_objects(1, 1, (105, 105), footprint=4, coeffs_per_object=16)
+        assert sorted((x, y) for x, y, _ in obj.channels[0]) == [(x, y) for x in range(4) for y in range(4)]
+
 
 class TestSceneEncoding:
     def test_empty_maps_zero_vector(self):
