@@ -20,7 +20,6 @@ from .phasor import (
     encode_integer,
     encode_rational,
     hadamard,
-    identity_vector,
     phase_normalize,
     sample_base,
     similarity,
@@ -37,7 +36,7 @@ from .residue import (
     multiply_by_constant_inverse,
     subtract,
 )
-from .kernels import analytic_kernel, empirical_kernel, product_kernel, sinc_comb
+from .kernels import analytic_kernel, empirical_kernel, product_kernel
 from .resonator import (
     CapacityResult,
     Codebook,
@@ -46,7 +45,6 @@ from .resonator import (
     bits_per_vector,
     build_residue_codebooks,
     capacity_experiment,
-    codebook_decode,
     decode_accuracy,
     decode_residue_number,
     resonator_factorize,
@@ -65,7 +63,6 @@ from .hexgrid import (
 from .subsetsum import (
     SubsetSumInstance,
     build_factors,
-    exact_baseline,
     generate_instance,
     make_subsetsum_system,
     solve,

@@ -21,7 +21,6 @@ __all__ = [
     "thermometer_kernel",
     "float_encode",
     "float_kernel",
-    "float_level_count",
     "scatter_encode",
     "scatter_expected_similarity",
     "scatter_similarity_curve",
@@ -64,10 +63,6 @@ def float_encode(s: int, D: int, w: int) -> np.ndarray:
     out = np.zeros(D, dtype=np.int8)
     out[s : s + w] = 1
     return out
-
-
-def float_level_count(D: int, w: int) -> int:
-    return D - w + 1
 
 
 def float_kernel(w: int, delta) -> np.ndarray:

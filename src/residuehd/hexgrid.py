@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasor import ModulusBase, PhasorVector, _count, centered_indices, hadamard, sample_base, similarity
+from .phasor import ModulusBase, PhasorVector, _count, _rational_phases, hadamard, sample_base, similarity
 from .residue import ResidueSystem, _child_seeds, crt_reconstruct
 from .resonator import ResonatorConfig, resonator_factorize
 
@@ -41,7 +41,6 @@ __all__ = [
     "HexSystem",
     "round_to_hex_coord",
     "hex_state_count",
-    "hex_state_count_enumerated",
     "square_state_count",
     "code_entropy",
     "write_hex_heatmap_csv",
@@ -138,9 +137,10 @@ class HexSystem:
         """Encode a plane point through projection and nearest-cell rounding."""
         return self.encode(round_to_hex_coord(hex_project(xy)))
 
-    def decode(self, v, config=None) -> tuple[int, int, int]:
+    def decode(self, v, config=None):
         """Recover a canonical 3-coordinate from an encoding.
 
+        Returns (y, state); inspect state.converged before trusting y.
         Decoding for the hexagonal frame is our own construction: run
         a resonator over the per-direction integer codebooks and
         CRT-combine each direction's labels into y. Each modulus admits
@@ -148,30 +148,24 @@ class HexSystem:
         (1,1,1); the class representative returned is the one with the
         smallest maximum coordinate (ties lexicographic). Shifting down
         until a coordinate reaches 0 lowers the maximum, so it is one
-        of the three shifts that zero a coordinate. RuntimeError is
-        raised when no attempt's decoded labels reproduce v.
+        of the three shifts that zero a coordinate.
         """
         # modulus-major: the three direction bases of modulus k sit at 3k, 3k+1, 3k+2
         books = [b for triplet in zip(*(d.bases for d in self.directions)) for b in triplet]
         state = resonator_factorize(v, books, config or ResonatorConfig(max_iters=30, max_restarts=5))
-        if not state.converged:
-            raise RuntimeError("resonator failed to factorize the hexagonal encoding")
         M = self.range_M
         y = [crt_reconstruct(state.labels[d::3], self.moduli) for d in range(3)]
-        return min((tuple((c - s) % M for c in y) for s in y), key=lambda c: (max(c), c))
+        return min((tuple((c - s) % M for c in y) for s in y), key=lambda c: (max(c), c)), state
 
     def encode_continuous(self, xy) -> PhasorVector:
         """Dense encoding of a plane point without rounding (for kernel maps).
 
-        Per-direction phases use the principal (-pi, pi] representative,
-        as in rational encoding, so the map interpolates the hexagonal
-        kernel between lattice points.
+        Its phases are those of encode_rational(b, y_d), summed over every
+        base b of every direction d, so the map interpolates the hexagonal
+        kernel between lattice points; the sum is exponentiated once.
         """
         y = hex_project(xy)
-        phase = np.zeros(self.dim)
-        for b1, b2, b3 in zip(*(d.bases for d in self.directions)):
-            w = centered_indices(b1) * y[0] + centered_indices(b2) * y[1] + centered_indices(b3) * y[2]
-            phase += (2.0 * np.pi / b1.modulus) * w
+        phase = sum(_rational_phases(b, y_d) for d, y_d in zip(self.directions, y) for b in d.bases)
         return PhasorVector.dense(np.exp(1j * phase), validate=False)
 
     def __repr__(self):
@@ -182,22 +176,6 @@ def hex_state_count(m: int) -> int:
     """Distinct states of a hexagonal code with modulus m: 3m^2 - 3m + 1."""
     m = _count(m, "modulus")
     return 3 * m * m - 3 * m + 1
-
-
-def hex_state_count_enumerated(m: int) -> int:
-    """Brute-force count: orbits of {0..m-1}^3 under integer diagonal shifts.
-
-    Every orbit has exactly one representative with a zero minimum
-    coordinate, so counting canonical forms counts orbits.
-    """
-    m = _count(m, "modulus")
-    seen = set()
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                lo = min(a, b, c)
-                seen.add((a - lo, b - lo, c - lo))
-    return len(seen)
 
 
 def square_state_count(m: int) -> int:

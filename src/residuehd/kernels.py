@@ -22,12 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .phasor import _count, _index, similarity
+from .phasor import _index, similarity
 from .residue import ResidueSystem
 
 __all__ = [
     "analytic_kernel",
-    "sinc_comb",
     "empirical_kernel",
     "product_kernel",
     "write_curve_csv",
@@ -55,18 +54,6 @@ def analytic_kernel(m: int, dx):
         out = ratio
     # integer offsets are exact: 1 at multiples of m, 0 at the rest
     out = np.where(t == np.round(t), np.where(t == 0.0, 1.0, 0.0), out)
-    return float(out) if out.ndim == 0 else out
-
-
-def sinc_comb(m: int, dx, n_terms: int):
-    """Truncated sinc comb: sum over s in [-n_terms, n_terms] of sinc(dx - m s).
-
-    m and n_terms must be integers, and n_terms at least 1.
-    """
-    m, n_terms = _index(m, "modulus"), _count(n_terms, "n_terms")
-    dx = np.asarray(dx, dtype=float)
-    s = np.arange(-n_terms, n_terms + 1, dtype=float)
-    out = np.sinc(dx[..., None] - m * s).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "conjugate",
     "phase_normalize",
     "add_phase_noise",
-    "identity_vector",
     "base_to_dict",
     "base_from_dict",
     "save_base",
@@ -288,11 +287,6 @@ def sample_base(m: int, D: int, seed: int, nonzero_only: bool = False) -> Modulu
     return ModulusBase(m, rng.integers(int(nonzero_only), m, size=D, dtype=np.int64))
 
 
-def identity_vector(D: int) -> PhasorVector:
-    """The all-ones vector (phase 0 everywhere), exact with period 1."""
-    return PhasorVector.exact(np.zeros(D, dtype=np.int64), 1)
-
-
 def encode_integer(base: ModulusBase, x: int) -> PhasorVector:
     """z(x) = z^x in exact form: component j gets index (u_j * x) mod m.
 
@@ -305,16 +299,16 @@ def encode_integer(base: ModulusBase, x: int) -> PhasorVector:
     return PhasorVector.exact(base.phase_indices * (_index(x, "x") % m), m)
 
 
-def centered_indices(base: ModulusBase) -> np.ndarray:
-    """Phase indices mapped to the principal branch: u - m for u > m/2.
+def _rational_phases(base: ModulusBase, q: float) -> np.ndarray:
+    """Phases of encode_rational(base, q): phi_j * fmod(q, m), phi_j = 2 pi u_j / m in (-pi, pi].
 
-    The resulting phases lie in (-pi, pi]. Integer encodings are
-    indifferent to the representative, but fractional powers are not:
-    the branch choice is what makes their similarity follow the
-    sinc-comb kernel instead of a Dirichlet ripple.
+    The principal branch takes u_j - m for u_j > m/2. Integer encodings
+    are indifferent to the representative, but fractional powers are not:
+    the branch choice is what makes their similarity follow the sinc-comb
+    kernel instead of a Dirichlet ripple.
     """
-    u = base.phase_indices
-    return np.where(u > base.modulus // 2, u - base.modulus, u)
+    u, m = base.phase_indices, base.modulus
+    return np.where(u > m // 2, u - m, u) * (2.0 * np.pi / m) * math.fmod(float(q), m)
 
 
 def encode_rational(base: ModulusBase, q: float) -> PhasorVector:
@@ -324,9 +318,7 @@ def encode_rational(base: ModulusBase, q: float) -> PhasorVector:
     so the encoding agrees with :func:`encode_integer` at integers and
     interpolates the sinc-comb kernel in between.
     """
-    q_red = math.fmod(float(q), base.modulus)
-    angles = centered_indices(base) * (2.0 * np.pi / base.modulus) * q_red
-    return PhasorVector.dense(np.exp(1j * angles), validate=False)
+    return PhasorVector.dense(np.exp(1j * _rational_phases(base, q)), validate=False)
 
 
 def similarity(a: PhasorVector, b: PhasorVector) -> float:

@@ -38,6 +38,7 @@ from .phasor import (
     _MAX_PERIOD,
     ModulusBase,
     PhasorVector,
+    _count,
     _index,
     base_from_dict,
     base_to_dict,
@@ -260,9 +261,9 @@ def multiply_by_constant_inverse(sys: ResidueSystem, v: PhasorVector, c: int) ->
     """z(x) -> z(x * c^(-1) mod M) for a known constant c with gcd(c, M) = 1.
 
     Covers the invertible prime-modulus case only; general division is
-    undefined in a residue system.
+    undefined in a residue system. c must be an integer.
     """
-    M = sys.range_M
+    M, c = sys.range_M, _index(c, "c")
     if not v.is_exact or v.period != M:
         raise ValueError("expected an exact composed vector with period M")
     if math.gcd(c % M, M) != 1:
@@ -301,9 +302,9 @@ def landau_g(b: int) -> int:
 
     Exact enumeration (the optimum is attained by pairwise co-prime prime
     powers padded with 1s); rejects b > 60 rather than approximating.
+    b must be an integer.
     """
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
+    b = _count(b, "b")
     if b > _LANDAU_MAX:
         raise ValueError(f"landau_g supports b <= {_LANDAU_MAX}, got {b}")
     primes = [p for p in range(2, b + 1) if _is_prime(p)]

@@ -61,7 +61,6 @@ __all__ = [
     "ResonatorConfig",
     "ResonatorState",
     "build_residue_codebooks",
-    "codebook_decode",
     "resonator_factorize",
     "decode_residue_number",
     "sub_integer_decode",
@@ -199,24 +198,6 @@ class ResonatorState:
 def build_residue_codebooks(sys: ResidueSystem) -> list[ModulusBase]:
     """One codebook per modulus, which is its base: row r is z_m(r)."""
     return list(sys.bases)
-
-
-def codebook_decode(v, codebook: Codebook) -> int:
-    """Row of the entry with the largest real inner product with v.
-
-    Ties go to the lowest row. Raises ValueError unless v is one vector
-    of shape (dim,), since argmax would run over a flattened stack, and
-    when v or a score is not finite, since argmax would pick row 0 for a NaN.
-    """
-    vals = v.values if isinstance(v, PhasorVector) else np.asarray(v)
-    if vals.shape != (codebook.dim,):
-        raise ValueError(f"input shape {vals.shape} is not the codebook's ({codebook.dim},)")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("input has non-finite components")
-    scores = codebook.project(vals).real
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("non-finite scores: the input overflows the inner products")
-    return int(np.argmax(scores))
 
 
 def _label(book, summary: np.ndarray) -> int:

@@ -252,8 +252,12 @@ def make_synthetic_objects(
     """Random sparse canonical-frame objects within a footprint at the origin.
 
     Each object's coefficients sit at distinct (channel, x, y) slots, so
-    coeffs_per_object may not exceed n_features * footprint**2.
+    coeffs_per_object may not exceed n_features * footprint**2. The counts
+    and the footprint must be integers, the footprint and n_features at
+    least 1: a float footprint would count slots that no draw can reach.
     """
+    n_objects, coeffs_per_object = _index(n_objects, "n_objects"), _index(coeffs_per_object, "coeffs_per_object")
+    n_features, footprint = _count(n_features, "n_features"), _count(footprint, "footprint")
     H, W = grid
     if footprint > min(H, W):
         raise ValueError("footprint exceeds grid")

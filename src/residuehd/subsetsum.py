@@ -40,8 +40,6 @@ __all__ = [
     "generate_instance",
     "build_factors",
     "solve",
-    "exact_baseline",
-    "brute_force_baseline",
     "benchmark",
     "save_instance",
     "load_instance",
@@ -240,60 +238,6 @@ def solve(
         restarts_used=state.restarts_used,
         evaluations=state.codebook_evaluations,
     )
-
-
-def exact_baseline(S: Sequence[int], T: int):
-    """Dynamic program over reachable sums; returns item indices or None.
-
-    Reachability is tracked in a single big-int bitset (bit s set iff
-    sum s is reachable), and the subset is reconstructed by walking the
-    per-prefix bitsets backward. Items and target must be integers; a
-    float, string or bool raises an error that is both a TypeError and a ValueError
-    rather than being truncated.
-    """
-    S = [_index(s, "item") for s in S]
-    if any(s <= 0 for s in S):
-        raise ValueError("items must be positive integers")
-    T = _index(T, "target")
-    if T < 0:
-        return None
-    prefix = [1]
-    mask = 1
-    for s in S:
-        mask |= mask << s
-        prefix.append(mask)
-    if not (mask >> T) & 1:
-        return None
-    chosen = []
-    t = T
-    for i in range(len(S), 0, -1):
-        if (prefix[i - 1] >> t) & 1:
-            continue
-        chosen.append(i - 1)
-        t -= S[i - 1]
-    assert t == 0
-    return tuple(sorted(chosen))
-
-
-def brute_force_baseline(S: Sequence[int], T: int):
-    """2^|S| enumeration, the oracle of oracles for small instances.
-
-    Items and target must be integers; a float, string or bool raises
-    an error that is both a TypeError and a ValueError.
-    """
-    S = [_index(s, "item") for s in S]
-    T = _index(T, "target")
-    n = len(S)
-    if n > 22:
-        raise ValueError("brute force limited to |S| <= 22")
-    for mask in range(1 << n):
-        total = 0
-        for i in range(n):
-            if mask >> i & 1:
-                total += S[i]
-        if total == T:
-            return tuple(i for i in range(n) if mask >> i & 1)
-    return None
 
 
 def benchmark(

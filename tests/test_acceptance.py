@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from reference import hex_state_count_enumerated, sinc_comb
 from residuehd.baselines import (
     cosine,
     float_encode,
@@ -22,10 +23,9 @@ from residuehd.hexgrid import (
     HexSystem,
     code_entropy,
     hex_state_count,
-    hex_state_count_enumerated,
     square_state_count,
 )
-from residuehd.kernels import analytic_kernel, empirical_kernel, sinc_comb
+from residuehd.kernels import analytic_kernel, empirical_kernel
 from residuehd.phasor import sample_base
 from residuehd.residue import ResidueSystem, add, make_residue_system, multiply
 from residuehd.resonator import (

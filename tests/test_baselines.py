@@ -8,7 +8,6 @@ from residuehd.baselines import (
     fit_kernel_shapes,
     float_encode,
     float_kernel,
-    float_level_count,
     scatter_encode,
     scatter_expected_similarity,
     scatter_similarity_curve,
@@ -42,9 +41,6 @@ class TestThermometer:
 class TestFloat:
     def test_structure(self):
         assert float_encode(0, 6, 3).tolist() == [1, 1, 1, 0, 0, 0]
-
-    def test_level_count(self):
-        assert float_level_count(60, 10) == 51
 
     def test_bounds(self):
         with pytest.raises(ValueError):

@@ -38,8 +38,17 @@ class TestKernelCommand:
         }
 
     def test_reruns_byte_identical(self, tmp_path):
-        # baselines writes its curves through the same CSV writer as kernel
-        for argv in (["kernel", "--m", "5", "--D", "2000"], ["baselines", "--scatter-seeds", "5"]):
+        # every subcommand, at the console-script sizes of the CI workflow
+        for argv in (
+            ["kernel", "--m", "5", "--D", "2000"],
+            ["baselines", "--scatter-seeds", "5"],
+            ["noise", "--D", "64", "--trials", "2"],
+            ["subset-sum", "--sizes", "4,6", "--D-values", "256", "--trials", "3"],
+            ["capacity", "--D", "64", "--trials", "3", "--max-M", "200"],
+            ["hex", "--moduli", "3,5", "--D", "256", "--extent", "1", "--step", "0.5", "--max-m", "3"],
+            ["subint", "--D", "128", "--moduli", "11,13", "--trials", "3"],
+            ["scene", "--scenes", "2", "--D", "1024", "--objects", "3", "--features", "4"],
+        ):
             out1, out2 = tmp_path / argv[0] / "a", tmp_path / argv[0] / "b"
             assert main([*argv, "--out", str(out1)]) == 0
             assert main([*argv, "--out", str(out2)]) == 0

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies
 
+from reference import sinc_comb
 from residuehd.kernels import (
     analytic_kernel,
     empirical_kernel,
     product_kernel,
-    sinc_comb,
     write_curve_csv,
 )
 from residuehd.phasor import sample_base

@@ -9,8 +9,16 @@ from hypothesis import given, strategies
 from hypothesis.extra.numpy import arrays
 from scipy import special
 
-from residuehd.hexgrid import HexSystem, code_entropy, hex_state_count, hex_state_count_enumerated, square_state_count
-from residuehd.kernels import analytic_kernel, product_kernel, sinc_comb
+from reference import (
+    brute_force_baseline,
+    codebook_decode,
+    exact_baseline,
+    hex_state_count_enumerated,
+    identity_vector,
+    sinc_comb,
+)
+from residuehd.hexgrid import HexSystem, code_entropy, hex_state_count, square_state_count
+from residuehd.kernels import analytic_kernel, product_kernel
 from residuehd.phasor import (
     _MAX_PERIOD,
     _unit_into,
@@ -24,22 +32,20 @@ from residuehd.phasor import (
     encode_integer,
     encode_rational,
     hadamard,
-    identity_vector,
     load_base,
     phase_normalize,
     sample_base,
     save_base,
     similarity,
 )
-from residuehd.residue import crt_reconstruct, make_residue_system
+from residuehd.residue import crt_reconstruct, landau_g, make_residue_system, multiply_by_constant_inverse
 from residuehd.resonator import ResonatorConfig, bits_per_vector, consecutive_primes
+from residuehd.scene import make_synthetic_objects
 from residuehd.subsetsum import (
     ItemBook,
     SubsetSumInstance,
-    brute_force_baseline,
     build_factors,
     consecutive_triple_moduli,
-    exact_baseline,
 )
 
 
@@ -230,7 +236,6 @@ class TestHadamard:
     def test_addition_decodes(self):
         from residuehd.residue import make_residue_system
         from reference import full_codebook
-        from residuehd.resonator import codebook_decode
 
         sys = make_residue_system([3, 5, 7], 256, seed=12)
         full = full_codebook(sys)
@@ -518,12 +523,23 @@ class TestIntegerRule:
         ("item", lambda v: brute_force_baseline([v], 2)),
         ("target", lambda v: brute_force_baseline([2], v)),
         ("i", lambda v: ItemBook(np.ones(4)).row(v)),
+        # and these hung, or returned one object or coefficient for True
+        ("n_objects", lambda v: make_synthetic_objects(v, 4, (15, 15), footprint=2, coeffs_per_object=10)),
+        ("n_features", lambda v: make_synthetic_objects(2, v, (15, 15), footprint=2, coeffs_per_object=10)),
+        ("footprint", lambda v: make_synthetic_objects(2, 4, (15, 15), footprint=v)),
+        ("coeffs_per_object", lambda v: make_synthetic_objects(2, 4, (15, 15), footprint=2, coeffs_per_object=v)),
+        # and these returned 1 or divided by 1 for True, and raised a bare TypeError for a float
+        ("b", lambda v: landau_g(v)),
+        ("c", lambda v: multiply_by_constant_inverse(make_residue_system([3, 5], 8, seed=0),
+                                                     make_residue_system([3, 5], 8, seed=0).encode(1), v)),
     ], ids=["PhasorVector.exact", "ModulusBase", "sample_base-m", "sample_base-D", "ResonatorConfig-max_iters",
             "ResonatorConfig-max_restarts", "ResonatorConfig-seed", "SubsetSumInstance-items",
             "SubsetSumInstance-target", "SubsetSumInstance-ground_truth", "SubsetSumInstance-seed",
             "encode_integer", "ResidueSystem.encode", "ResidueSystem.encode_factors", "HexSystem.encode",
             "crt_reconstruct-residues", "crt_reconstruct-moduli", "consecutive_triple_moduli",
             "exact_baseline-S", "exact_baseline-T", "brute_force_baseline-S", "brute_force_baseline-T",
-            "ItemBook.row"])
+            "ItemBook.row", "make_synthetic_objects-n_objects", "make_synthetic_objects-n_features",
+            "make_synthetic_objects-footprint", "make_synthetic_objects-coeffs_per_object", "landau_g",
+            "multiply_by_constant_inverse"])
     def test_error_is_both_types_and_names_the_parameter(self, name, call, value):
         assert self.raises_both(lambda: call(value)) == f"{name} must be an integer, got {value!r}"

@@ -273,8 +273,7 @@ class TestFOp:
 
 class TestMultiply:
     def test_figure_values(self, prime_sys):
-        from reference import full_codebook
-        from residuehd.resonator import codebook_decode
+        from reference import codebook_decode, full_codebook
 
         full = full_codebook(prime_sys)
         prod = multiply(prime_sys, prime_sys.encode_factors(2), prime_sys.encode_factors(3))

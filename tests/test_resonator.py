@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies
 from hypothesis.extra.numpy import arrays
 
 import reference
+from reference import codebook_decode
 from residuehd import resonator, scene, subsetsum
 from residuehd.phasor import (
     ModulusBase,
@@ -34,7 +35,6 @@ from residuehd.resonator import (
     bits_per_vector,
     build_residue_codebooks,
     capacity_experiment,
-    codebook_decode,
     consecutive_primes,
     decode_accuracy,
     decode_residue_number,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
+from reference import brute_force_baseline, exact_baseline
 from residuehd import scene, subsetsum
 from residuehd.phasor import phase_normalize
 from residuehd.resonator import Codebook, ResonatorConfig
@@ -14,10 +15,8 @@ from residuehd.subsetsum import (
     ItemBook,
     SubsetSumInstance,
     benchmark,
-    brute_force_baseline,
     build_factors,
     consecutive_triple_moduli,
-    exact_baseline,
     generate_instance,
     load_instance,
     make_subsetsum_system,
