@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .phasor import (
     ModulusBase,
-    NoiseModel,
     PhasorVector,
     add_phase_noise,
     conjugate,

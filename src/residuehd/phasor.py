@@ -38,7 +38,6 @@ import numpy as np
 __all__ = [
     "PhasorVector",
     "ModulusBase",
-    "NoiseModel",
     "sample_base",
     "encode_integer",
     "encode_rational",
@@ -262,18 +261,6 @@ class ModulusBase:
         return self._roots[(np.arange(m) * (i % m)) % m][self.phase_indices]
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Von Mises phase noise with concentration kappa (inf = no noise); NaN is rejected."""
-
-    kappa: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.kappa >= 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-
-
 def sample_base(m: int, D: int, seed: int, nonzero_only: bool = False) -> ModulusBase:
     """Draw D i.i.d. phase indices uniform over Z_m (or Z_m without 0).
 
@@ -316,7 +303,8 @@ def encode_rational(base: ModulusBase, q: float) -> PhasorVector:
 
     phi_j is the principal (-pi, pi] representative of the base phase,
     so the encoding agrees with :func:`encode_integer` at integers and
-    interpolates the sinc-comb kernel in between.
+    interpolates the sinc-comb kernel in between. A system's encoding
+    exponentiates these phases summed over its bases.
     """
     return PhasorVector.dense(np.exp(1j * _rational_phases(base, q)), validate=False)
 
@@ -377,16 +365,18 @@ def _unit_into(y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(y, mags, out=out)
 
 
-def add_phase_noise(v: PhasorVector, noise: NoiseModel) -> PhasorVector:
-    """Perturb each phase by an i.i.d. von Mises(0, kappa) sample.
+def add_phase_noise(v: PhasorVector, kappa: float, seed: int = 0) -> PhasorVector:
+    """Perturb each phase by an i.i.d. von Mises(0, kappa) sample, drawn from seed.
 
     kappa = inf is the no-noise sentinel and returns the dense form of v
-    unchanged.
+    unchanged. A negative or NaN kappa raises ValueError.
     """
-    if math.isinf(noise.kappa):
+    if not kappa >= 0:  # written so that a NaN, which compares False, fails it
+        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if math.isinf(kappa):
         return v.to_dense()
-    rng = np.random.default_rng(noise.seed)
-    theta = rng.vonmises(0.0, noise.kappa, size=v.dim)
+    rng = np.random.default_rng(seed)
+    theta = rng.vonmises(0.0, kappa, size=v.dim)
     return PhasorVector.dense(v.values * np.exp(1j * theta), validate=False)
 
 

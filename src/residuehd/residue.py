@@ -40,11 +40,11 @@ from .phasor import (
     PhasorVector,
     _count,
     _index,
+    _rational_phases,
     base_from_dict,
     base_to_dict,
     conjugate,
     encode_integer,
-    encode_rational,
     hadamard,
     sample_base,
 )
@@ -166,12 +166,8 @@ class ResidueSystem:
         return [PhasorVector.exact(v.indices % m * pow(M // m, -1, m), m) for m in self.moduli]
 
     def encode_rational(self, q: float) -> PhasorVector:
-        """Dense composed encoding of a real/rational value."""
-        out = None
-        for b in self.bases:
-            f = encode_rational(b, q)
-            out = f if out is None else hadamard(out, f)
-        return out
+        """Dense composed encoding of a real/rational value: one exp of encode_rational's phases, summed over bases."""
+        return PhasorVector.dense(np.exp(1j * sum(_rational_phases(b, q) for b in self.bases)), validate=False)
 
     def __repr__(self):
         return f"ResidueSystem(moduli={self.moduli}, D={self.dim}, M={self.range_M})"

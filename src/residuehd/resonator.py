@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import analytic_kernel
-from .phasor import ModulusBase, NoiseModel, PhasorVector, _count, _index, _unit_into, add_phase_noise
+from .phasor import ModulusBase, PhasorVector, _count, _index, _unit_into, add_phase_noise, similarity
 from .residue import ResidueSystem, _child_seeds, _is_prime, crt_reconstruct, make_residue_system
 
 __all__ = [
@@ -359,28 +359,25 @@ def sub_integer_decode(
     """
     r = _count(r, "partitions")
     state = resonator_factorize(v, sys.bases, config)
-    v_vals = v.values if isinstance(v, PhasorVector) else np.asarray(v)
-    M = sys.range_M
+    v = v if isinstance(v, PhasorVector) else PhasorVector.dense(v, validate=False)
     # nearest and runner-up integer per modulus, by gauge-invariant magnitude;
     # factor j's residual is the unbound product times est_j, as in a sweep
-    unbound = v_vals * state.estimates.prod(axis=0).conj()
+    unbound = v.values * state.estimates.prod(axis=0).conj()
     top2 = []
     for j, base in enumerate(sys.bases):
         coeffs = np.abs(base.project(unbound * state.estimates[j]))
         state.codebook_evaluations += base.n_entries
         top2.append([int(i) for i in np.argsort(-coeffs)[:2]])
     anchors = sorted({crt_reconstruct(combo, sys.moduli) for combo in itertools.product(*top2)})
-    offsets = [Fraction(j, r) for j in range(-(r - 1), r)]
-    best_value, best_score = None, -np.inf
-    for anchor in anchors:
-        for off in offsets:
-            cand = sys.encode_rational(anchor + off.numerator / off.denominator)
-            score = float(np.mean(np.real(v_vals * np.conj(cand.values))))
+    best_numerator, best_score = None, -np.inf
+    for a in anchors:
+        for j in range(1 - r, r):
+            score = similarity(v, sys.encode_rational(a + j / r))
             state.codebook_evaluations += 1
             if score > best_score:
-                best_value, best_score = anchor + off, score
+                best_numerator, best_score = a * r + j, score
     state.claim_cosine, state.converged = best_score, best_score >= VERIFY_THRESHOLD
-    return Fraction(best_value.numerator % (M * best_value.denominator), best_value.denominator), state
+    return Fraction(best_numerator, r) % sys.range_M, state
 
 
 def subinteger_overlay(
@@ -468,7 +465,7 @@ def decode_accuracy(
     for t in range(trials):
         s_x, s_noise, s_res = _child_seeds(seed, (t,), 3)
         x = int(np.random.default_rng(s_x).integers(M))
-        vec = add_phase_noise(sys.encode(x), NoiseModel(kappa, s_noise))
+        vec = add_phase_noise(sys.encode(x), kappa, s_noise)
         decoded, st = decode_residue_number(sys, vec, replace(base_cfg, seed=s_res))
         hits.append(decoded == x)
         evaluations.append(st.codebook_evaluations)
@@ -590,7 +587,7 @@ def subinteger_experiment(
         s_x, s_noise, s_res = _child_seeds(seed, (t,), 3)
         rng = np.random.default_rng(s_x)
         truth = Fraction(int(rng.integers(M)) * r + int(rng.integers(r)), r)
-        vec = add_phase_noise(sys.encode_rational(float(truth)), NoiseModel(kappa, s_noise))
+        vec = add_phase_noise(sys.encode_rational(float(truth)), kappa, s_noise)
         decoded, _ = sub_integer_decode(sys, vec, r, replace(base_cfg, seed=s_res))
         if decoded == truth:
             hits += 1

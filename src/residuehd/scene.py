@@ -144,7 +144,8 @@ def save_feature_maps(maps: FeatureMaps, path) -> None:
 
 
 def translate_maps(maps: FeatureMaps, dx: int, dy: int) -> FeatureMaps:
-    """Shift every coefficient by (dx, dy), wrapping around the grid."""
+    """Shift every coefficient by (dx, dy), wrapping around the grid; the shifts are integers."""
+    dx, dy = _index(dx, "dx"), _index(dy, "dy")
     H, W = maps.grid
     return FeatureMaps(
         grid=maps.grid,
@@ -164,6 +165,7 @@ class SceneCodec:
     """
 
     def __init__(self, hsys: ResidueSystem, vsys: ResidueSystem, n_features: int, seed: int):
+        n_features = _count(n_features, "n_features")
         if hsys.dim != vsys.dim:
             raise ValueError("horizontal and vertical systems disagree on dimension")
         self.hsys = hsys

@@ -3,7 +3,9 @@
 The library's sweep keeps one running unbound product and its modular
 codebooks never build dense rows; these helpers do both the plain way:
 the per-factor unbinding, the stepwise update it feeds, and the dense
-rows of a base or of a full residue codebook. The oracles below them
+rows of a base or of a full residue codebook. A system's rational
+encoding exponentiates its summed phases once; rational_product binds
+the per-base encodings instead. The oracles below them
 answer by brute force what the library computes by structure: argmax
 decoding against a whole codebook, the kernel as a sinc series, the
 hexagonal state count by enumeration, subset sums by dynamic programming
@@ -12,7 +14,7 @@ and by enumeration, and the all-ones identity vector.
 
 import numpy as np
 
-from residuehd.phasor import PhasorVector, _count, _index
+from residuehd.phasor import PhasorVector, _count, _index, encode_rational, hadamard
 from residuehd.resonator import Codebook, _label
 
 
@@ -42,6 +44,14 @@ def dense_rows(base):
 def full_codebook(sys):
     """A dense Codebook of every encoding sys.encode(x), x in [0, M); entry x is row x."""
     return Codebook(np.stack([sys.encode(x).values for x in range(sys.range_M)]))
+
+
+def rational_product(sys, q):
+    """The Hadamard product of encode_rational(b, q) over the system's bases, one base at a time."""
+    out = encode_rational(sys.bases[0], q)
+    for b in sys.bases[1:]:
+        out = hadamard(out, encode_rational(b, q))
+    return out
 
 
 def identity_vector(D):

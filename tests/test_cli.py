@@ -175,15 +175,6 @@ class TestExperimentCommands:
         for name in ("thermometer.csv", "float.csv", "scatter.csv", "scatter_fits.json"):
             assert (out / name).exists()
 
-    def test_experiment_rerun_identical(self, tmp_path):
-        outs = []
-        for name in ("x", "y"):
-            out = tmp_path / name
-            main(["capacity", "--D", "128", "--K", "2", "--trials", "5",
-                  "--growth", "2.0", "--max-M", "200", "--out", str(out)])
-            outs.append(read(out / "capacity.jsonl"))
-        assert outs[0] == outs[1]
-
 
 class TestInvalidCounts:
     """A count below 1 or a grid step of 0 is an error, not NaN, a traceback or a sweep that never ends."""

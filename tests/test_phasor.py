@@ -23,7 +23,6 @@ from residuehd.phasor import (
     _MAX_PERIOD,
     _unit_into,
     ModulusBase,
-    NoiseModel,
     PhasorVector,
     add_phase_noise,
     base_from_dict,
@@ -40,7 +39,7 @@ from residuehd.phasor import (
 )
 from residuehd.residue import crt_reconstruct, landau_g, make_residue_system, multiply_by_constant_inverse
 from residuehd.resonator import ResonatorConfig, bits_per_vector, consecutive_primes
-from residuehd.scene import make_synthetic_objects
+from residuehd.scene import FeatureMaps, SceneCodec, make_synthetic_objects, translate_maps
 from residuehd.subsetsum import (
     ItemBook,
     SubsetSumInstance,
@@ -296,23 +295,23 @@ class TestPhaseNoise:
     def test_infinite_kappa_is_identity(self):
         base = sample_base(5, 128, seed=14)
         v = encode_integer(base, 2)
-        noisy = add_phase_noise(v, NoiseModel(kappa=math.inf, seed=0))
+        noisy = add_phase_noise(v, kappa=math.inf, seed=0)
         assert np.array_equal(noisy.values, v.values)
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
-            NoiseModel(kappa=-0.5)
+            add_phase_noise(encode_integer(sample_base(5, 8, seed=14), 2), kappa=-0.5)
 
     def test_nan_kappa_rejected(self):
         # a NaN kappa once failed later, as an input with non-finite components
         with pytest.raises(ValueError, match="kappa must be >= 0"):
-            NoiseModel(kappa=math.nan)
+            add_phase_noise(encode_integer(sample_base(5, 8, seed=14), 2), kappa=math.nan)
 
     def test_circular_variance_kappa16(self):
         # var = 1 - I1(k)/I0(k), estimated from the applied perturbations
         D = 100_000
         v = identity_vector(D)
-        noisy = add_phase_noise(v, NoiseModel(kappa=16.0, seed=15))
+        noisy = add_phase_noise(v, kappa=16.0, seed=15)
         theta = np.angle(noisy.values)
         circ_var = 1.0 - float(np.abs(np.mean(np.exp(1j * theta))))
         expected = 1.0 - special.i1(16.0) / special.i0(16.0)
@@ -322,20 +321,20 @@ class TestPhaseNoise:
         D = 100_000
         base = sample_base(7, D, seed=16)
         v = encode_integer(base, 3)
-        noisy = add_phase_noise(v, NoiseModel(kappa=1.0, seed=17))
+        noisy = add_phase_noise(v, kappa=1.0, seed=17)
         expected = special.i1(1.0) / special.i0(1.0)
         assert abs(similarity(noisy, v) - expected) <= 0.01
 
     def test_noise_determinism(self):
         base = sample_base(5, 64, seed=18)
         v = encode_integer(base, 1)
-        n1 = add_phase_noise(v, NoiseModel(kappa=2.0, seed=99))
-        n2 = add_phase_noise(v, NoiseModel(kappa=2.0, seed=99))
+        n1 = add_phase_noise(v, kappa=2.0, seed=99)
+        n2 = add_phase_noise(v, kappa=2.0, seed=99)
         assert np.array_equal(n1.values, n2.values)
 
     def test_output_unit_magnitude(self):
         base = sample_base(5, 256, seed=19)
-        noisy = add_phase_noise(encode_integer(base, 4), NoiseModel(kappa=0.5, seed=1))
+        noisy = add_phase_noise(encode_integer(base, 4), kappa=0.5, seed=1)
         assert np.allclose(np.abs(noisy.values), 1.0, atol=1e-9)
 
 
@@ -532,6 +531,11 @@ class TestIntegerRule:
         ("b", lambda v: landau_g(v)),
         ("c", lambda v: multiply_by_constant_inverse(make_residue_system([3, 5], 8, seed=0),
                                                      make_residue_system([3, 5], 8, seed=0).encode(1), v)),
+        # and these raised an error that named no parameter, or shifted by 1 for True
+        ("n_features", lambda v: SceneCodec(make_residue_system([3, 5], 8, seed=0),
+                                            make_residue_system([3, 5], 8, seed=1), v, seed=0)),
+        ("dx", lambda v: translate_maps(FeatureMaps(grid=(4, 4), channels={0: ((1, 2, 1.0),)}), v, 0)),
+        ("dy", lambda v: translate_maps(FeatureMaps(grid=(4, 4), channels={0: ((1, 2, 1.0),)}), 0, v)),
     ], ids=["PhasorVector.exact", "ModulusBase", "sample_base-m", "sample_base-D", "ResonatorConfig-max_iters",
             "ResonatorConfig-max_restarts", "ResonatorConfig-seed", "SubsetSumInstance-items",
             "SubsetSumInstance-target", "SubsetSumInstance-ground_truth", "SubsetSumInstance-seed",
@@ -540,6 +544,11 @@ class TestIntegerRule:
             "exact_baseline-S", "exact_baseline-T", "brute_force_baseline-S", "brute_force_baseline-T",
             "ItemBook.row", "make_synthetic_objects-n_objects", "make_synthetic_objects-n_features",
             "make_synthetic_objects-footprint", "make_synthetic_objects-coeffs_per_object", "landau_g",
-            "multiply_by_constant_inverse"])
+            "multiply_by_constant_inverse", "SceneCodec-n_features", "translate_maps-dx", "translate_maps-dy"])
     def test_error_is_both_types_and_names_the_parameter(self, name, call, value):
         assert self.raises_both(lambda: call(value)) == f"{name} must be an integer, got {value!r}"
+
+    def test_zero_count_is_a_value_error(self):
+        # SceneCodec once built a codec with no feature channels, which then rejected every channel
+        with pytest.raises(ValueError, match="n_features must be >= 1, got 0"):
+            SceneCodec(make_residue_system([3, 5], 8, seed=0), make_residue_system([3, 5], 8, seed=1), 0, seed=0)

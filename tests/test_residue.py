@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies
 
+from reference import rational_product
 from residuehd.hexgrid import HexSystem
 from residuehd.phasor import (
     _MAX_PERIOD,
@@ -15,7 +16,9 @@ from residuehd.phasor import (
     base_to_dict,
     conjugate,
     encode_integer,
+    encode_rational,
     hadamard,
+    similarity,
 )
 from residuehd.residue import (
     ResidueSystem,
@@ -163,6 +166,21 @@ class TestEncode:
 
     def test_rational_matches_integer(self, sys357):
         assert np.allclose(sys357.encode_rational(17.0).values, sys357.encode(17).values, atol=1e-12)
+
+    @given(data=strategies.data(), D=strategies.integers(1, 256), seed=strategies.integers(0, 2**16))
+    def test_rational_is_the_product_of_per_base_encodings(self, data, D, seed):
+        moduli = data.draw(strategies.lists(strategies.sampled_from(SMALL_PRIMES), min_size=1, max_size=3,
+                                            unique=True))
+        sys = make_residue_system(moduli, D, seed)
+        M = sys.range_M
+        q = data.draw(strategies.floats(-M, M))
+        v, ref = sys.encode_rational(q), rational_product(sys, q)
+        if len(moduli) == 1:
+            assert v == encode_rational(sys.bases[0], q)
+        assert abs(similarity(v, ref) - 1.0) <= 1e-15
+        # componentwise they differ by the rounding of the phase sum, whose
+        # terms reach pi * m in magnitude: up to 9e-15 at moduli (7, 11, 13)
+        assert np.abs(v.values - ref.values).max() <= len(moduli) * np.spacing(np.pi * sum(moduli))
 
 
 class TestAddSubtract:

@@ -14,7 +14,6 @@ from reference import codebook_decode
 from residuehd import resonator, scene, subsetsum
 from residuehd.phasor import (
     ModulusBase,
-    NoiseModel,
     PhasorVector,
     add_phase_noise,
     encode_integer,
@@ -276,7 +275,7 @@ def _k1_case():
 
 def _k3_case():
     sys = make_residue_system([3, 5, 7], 512, seed=61)
-    v = add_phase_noise(sys.encode(52), NoiseModel(kappa=4.0, seed=1)).values
+    v = add_phase_noise(sys.encode(52), kappa=4.0, seed=1).values
     return v, build_residue_codebooks(sys)
 
 
@@ -586,6 +585,13 @@ class TestSubIntegerDecode:
             value, _ = sub_integer_decode(sys, v, 2, ResonatorConfig(max_iters=40, seed=x))
             assert value == truth
 
+    def test_value_below_zero_wraps_into_range(self):
+        # the best candidate is anchor 0 with offset -1/4, which reduces to M - 1/4
+        sys = make_residue_system([3, 5, 7], 512, seed=54)
+        M = sys.range_M
+        value, _ = sub_integer_decode(sys, sys.encode_rational(M - 0.25), 4, ResonatorConfig(max_iters=30, seed=0))
+        assert value == Fraction(4 * M - 1, 4)
+
     def test_partition_validation(self, sys357):
         with pytest.raises(ValueError):
             sub_integer_decode(sys357, sys357.encode(1), 0)
@@ -635,7 +641,7 @@ class TestNoiseRobustness:
         hits = 0
         for t in range(40):
             x = int(np.random.default_rng(t).integers(sys.range_M))
-            v = add_phase_noise(sys.encode(x), NoiseModel(kappa=16.0, seed=t))
+            v = add_phase_noise(sys.encode(x), kappa=16.0, seed=t)
             got, _ = decode_residue_number(
                 sys, v, ResonatorConfig(max_iters=50, seed=t), codebooks=books
             )
