@@ -186,7 +186,7 @@ class ModulusBase:
 
     A base is also its modular codebook: entry r is z(r), the m-th roots of
     unity of index (u_j * r) mod m, so the base fixes every entry. A
-    resonator step's summary is h = bincount(u, x, m), from which
+    resonator step's summary is h, x summed per phase index, from which
     coefficients() gives the m inner products conj(Z) @ x = fft(h), and its
     cleanup is m * h[u]: O(D + m) time per step and O(D) memory, with the
     length-m DFT left to whoever reads a label.
@@ -210,10 +210,6 @@ class ModulusBase:
         idx.setflags(write=False)
         object.__setattr__(self, "modulus", m)
         object.__setattr__(self, "phase_indices", idx)
-        # x viewed as float64 pairs puts Re x_j at 2j and Im x_j at 2j + 1, so
-        # bins 2u and 2u + 1 sum the real and imaginary parts in one bincount,
-        # each bin in the same order as a bincount per part
-        object.__setattr__(self, "_interleaved", np.stack([2 * idx, 2 * idx + 1], axis=1).ravel())
 
     @property
     def dim(self) -> int:
@@ -224,10 +220,10 @@ class ModulusBase:
         return self.modulus
 
     def _group_sum(self, x: np.ndarray) -> np.ndarray:
-        """h = bincount(u, x, m): the components of x summed per phase index."""
-        # a real or strided x would be misread through the float64 view
-        x = np.ascontiguousarray(x, dtype=np.complex128)
-        return np.bincount(self._interleaved, x.view(np.float64), 2 * self.modulus).view(np.complex128)
+        """h: the components of x summed per phase index, each bin in index order from +0.0."""
+        h = np.zeros(self.modulus, dtype=np.complex128)
+        np.add.at(h, self.phase_indices, x)
+        return h
 
     def coefficients(self, h: np.ndarray) -> np.ndarray:
         """conj(Z) @ x from a step's summary h: its length-m DFT."""

@@ -22,8 +22,8 @@ per-modulus codebooks followed by Chinese-remainder reconstruction;
 this costs sum(m_k) inner products per sweep instead of the prod(m_k)
 of brute-force codebook decoding. Every residue codebook is its
 ModulusBase, whose entries z(0) .. z(m-1) the base fixes. Its m inner
-products with a residual x are the DFT of h = bincount(u, x, m), x
-summed per phase index, and since that DFT is invertible the cleanup
+products with a residual x are the DFT of h, x summed per phase index
+(h[u_j] += x_j), and since that DFT is invertible the cleanup
 (conj(Z) @ x) @ Z is the group sum m * h[u].
 
 A step computes only what the next step reads: it writes the new
@@ -210,16 +210,20 @@ def _label(book, summary: np.ndarray) -> int:
 
 # the 2^16-th roots of unity (1 MiB): an initial phase is one of them, drawn
 # uniformly, which is a table lookup instead of a complex exp per component
-_INIT_PERIOD = 2**16
-_INIT_ROOTS = PhasorVector.exact(np.arange(_INIT_PERIOD), _INIT_PERIOD).values
+_INIT_ROOTS = PhasorVector.exact(np.arange(2**16), 2**16).values
 
 
 def _random_init(codebooks, rng, out=None) -> np.ndarray:
-    """K x D initial estimates, written into out when it is given."""
-    shape = (len(codebooks), codebooks[0].dim)
-    # uint16 indices are in range, so mode="wrap" never wraps them; unlike
-    # mode="raise" it writes into out directly, not through a temporary
-    return _INIT_ROOTS.take(rng.integers(_INIT_PERIOD, size=shape, dtype=np.uint16), out=out, mode="wrap")
+    """K x D initial estimates, written into out when it is given.
+
+    The root indices are the first K * D little-endian 16-bit words of raw
+    64-bit draws: from a fresh generator, as each attempt's is, the values
+    of rng.integers(2**16, size=(K, D), dtype=np.uint16), drawn faster.
+    """
+    K, D = len(codebooks), codebooks[0].dim
+    words = rng.bit_generator.random_raw(-(-K * D // 4)).astype("<u8", copy=False)
+    # uint16 indices fit the table, so mode="wrap" never wraps; unlike "raise" it writes into out directly
+    return _INIT_ROOTS.take(words.view("<u2")[:K * D].reshape(K, D), out=out, mode="wrap")
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -55,23 +55,25 @@ class FeatureMaps:
     channels: dict[int, tuple[tuple[int, int, float], ...]]
 
     def __post_init__(self):
-        try:
-            H, W = map(_index, self.grid)
-            if H < 1 or W < 1:
-                raise ValueError(f"grid must be positive, got {self.grid}")
-            frozen = {}
-            for j, coeffs in self.channels.items():
-                rows = []
-                for k, (x, y, val) in enumerate(coeffs):
-                    x, y = _index(x), _index(y)
-                    if not (0 <= x < W and 0 <= y < H):
-                        raise ValueError(f"channel {j}, coeff {k}: position ({x}, {y}) outside {W}x{H} grid")
-                    if not math.isfinite(val):
-                        raise ValueError(f"channel {j}, coeff {k}: non-finite value {val}")
-                    rows.append((x, y, float(val)))
-                frozen[_index(j)] = tuple(rows)
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"grid sizes, channel ids and positions must be integers, values real: {exc}") from None
+        H, W = (_index(n, "grid") for n in self.grid)
+        if H < 1 or W < 1:
+            raise ValueError(f"grid must be positive, got {self.grid}")
+        frozen = {}
+        for j, coeffs in self.channels.items():
+            j = _index(j, "channel id")
+            rows = []
+            for k, (x, y, val) in enumerate(coeffs):
+                x, y = _index(x, "x"), _index(y, "y")
+                if not (0 <= x < W and 0 <= y < H):
+                    raise ValueError(f"channel {j}, coeff {k}: position ({x}, {y}) outside {W}x{H} grid")
+                try:
+                    finite = math.isfinite(val)
+                except (TypeError, OverflowError) as exc:
+                    raise ValueError(f"channel {j}, coeff {k}: values must be real: {exc}") from None
+                if not finite:
+                    raise ValueError(f"channel {j}, coeff {k}: non-finite value {val}")
+                rows.append((x, y, float(val)))
+            frozen[j] = tuple(rows)
         object.__setattr__(self, "channels", frozen)
         object.__setattr__(self, "grid", (H, W))
 

@@ -54,6 +54,11 @@ def rational_product(sys, q):
     return out
 
 
+def uint16_init_draw(rng, shape):
+    """The resonator's initial root indices as numpy's full-range uint16 draw."""
+    return rng.integers(2**16, size=shape, dtype=np.uint16)
+
+
 def identity_vector(D):
     """The all-ones vector (phase 0 everywhere), exact with period 1."""
     return PhasorVector.exact(np.zeros(D, dtype=np.int64), 1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 from hypothesis.extra.numpy import arrays
 
 import reference
@@ -109,8 +109,12 @@ class TestCodebooks:
     @settings(max_examples=60, deadline=None)
     @given(m=strategies.integers(1, 400), D=strategies.integers(1, 512),
            kind=strategies.sampled_from(["real", "complex", "strided"]), seed=strategies.integers(0, 2**16))
+    # the benchmark's shapes, which the drawn range never reaches
+    @example(m=499, D=8192, kind="complex", seed=1)
+    @example(m=7, D=10000, kind="strided", seed=2)
+    @example(m=105, D=10000, kind="real", seed=3)
     def test_group_sum_step_bits(self, m, D, kind, seed):
-        # the interleaved group sum against one bincount per part, bit for bit
+        # the group sum against one bincount per part, bit for bit
         rng = np.random.default_rng(seed)
         cb = ModulusBase(m, rng.integers(0, m, D))
         u = cb.phase_indices
@@ -368,6 +372,17 @@ class TestRandomInit:
         # every component is exactly the 2^16-th root of unity nearest its phase
         k = np.rint(np.angle(a) * (2**16 / (2 * np.pi))).astype(np.int64)
         assert np.array_equal(a, PhasorVector.exact(k, 2**16).values.reshape(a.shape))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (2, 8192), (7, 10000)])
+    def test_draw_is_the_uint16_integers_draw(self, shape):
+        # (1, 1) and (3, 5) use only part of the last 64-bit word; a wrong
+        # byte order or an off-by-one slice changes every shape's draw
+        K, D = shape
+        books = [ModulusBase(2, np.zeros(D, dtype=np.int64))] * K
+        for seed in range(4):
+            k = reference.uint16_init_draw(np.random.default_rng(seed), shape)
+            want = PhasorVector.exact(k.ravel().astype(np.int64), 2**16).values.reshape(shape)
+            assert _random_init(books, np.random.default_rng(seed)).tobytes() == want.tobytes()
 
     def test_out_buffer_gets_the_same_draw(self, books357):
         out = np.empty((3, books357[0].dim), dtype=np.complex128)

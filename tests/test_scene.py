@@ -105,16 +105,29 @@ class TestFeatureMaps:
         with pytest.raises(ValueError):
             FeatureMaps(grid=grid, channels=channels)
 
-    @pytest.mark.parametrize("grid, channels", [
-        ((True, 4), {}),
-        ((4, 4), {True: ()}),
-        ((4, 4), {0: ((True, 1, 1.0),)}),
-        ((4, 4), {0: ((1, False, 1.0),)}),
+    @pytest.mark.parametrize("name, grid, channels", [
+        ("grid", (True, 4), {}),
+        ("channel id", (4, 4), {True: ()}),
+        ("x", (4, 4), {0: ((True, 1, 1.0),)}),
+        ("y", (4, 4), {0: ((1, False, 1.0),)}),
     ], ids=["grid", "channel-id", "x", "y"])
-    def test_bool_rejected(self, grid, channels):
+    def test_bool_rejected(self, name, grid, channels):
         # a bool was once read as 1 or 0
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got (True|False)$"):
             FeatureMaps(grid=grid, channels=channels)
+
+    @pytest.mark.parametrize("value", [2.5, "2"])
+    @pytest.mark.parametrize("name, maps", [
+        ("grid", lambda v: FeatureMaps(grid=(v, 4), channels={})),
+        ("channel id", lambda v: FeatureMaps(grid=(4, 4), channels={v: ()})),
+        ("x", lambda v: FeatureMaps(grid=(4, 4), channels={0: ((v, 1, 1.0),)})),
+        ("y", lambda v: FeatureMaps(grid=(4, 4), channels={0: ((1, v, 1.0),)})),
+    ], ids=["grid", "channel-id", "x", "y"])
+    def test_non_integer_raises_the_integer_rule_error(self, name, maps, value):
+        # a plain ValueError once named "value", not the parameter
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$") as info:
+            maps(value)
+        assert isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("grid, channels", [
         ([True, 4], []),
