@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import curve_fit
 
+from .phasor import _cosine
+
 __all__ = [
     "thermometer_encode",
     "thermometer_kernel",
@@ -30,13 +32,8 @@ __all__ = [
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    # float first: the int8 codes' own dot product would wrap
+    return _cosine(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def thermometer_encode(s: int, D: int) -> np.ndarray:

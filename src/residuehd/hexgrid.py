@@ -133,10 +133,6 @@ class HexSystem:
         """
         return encode_cartesian(self.directions, y3)
 
-    def encode_point(self, xy) -> PhasorVector:
-        """Encode a plane point through projection and nearest-cell rounding."""
-        return self.encode(round_to_hex_coord(hex_project(xy)))
-
     def decode(self, v, config=None):
         """Recover a canonical 3-coordinate from an encoding.
 

@@ -316,6 +316,15 @@ def similarity(a: PhasorVector, b: PhasorVector) -> float:
     return float(np.mean(np.real(a.values * np.conj(b.values))))
 
 
+def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b> / (|a| |b|) of two arrays, 0.0 when either is zero."""
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.real(np.vdot(a, b)) / (na * nb))
+
+
 def hadamard(a: PhasorVector, b: PhasorVector) -> PhasorVector:
     """Componentwise product. Exact x exact stays exact with period lcm(L1, L2).
 

@@ -114,10 +114,6 @@ class ResidueSystem:
     def range_M(self) -> int:
         return math.prod(self.moduli)
 
-    @property
-    def codebook_budget_b(self) -> int:
-        return sum(self.moduli)
-
     @cached_property
     def anti_bases(self) -> tuple[PhasorVector, ...]:
         """The anti-base of each base; raises ValueError unless :func:`anti_base` accepts every base."""

@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import analytic_kernel
-from .phasor import ModulusBase, PhasorVector, _count, _index, _unit_into, add_phase_noise, similarity
+from .phasor import ModulusBase, PhasorVector, _cosine, _count, _index, _unit_into, add_phase_noise, similarity
 from .residue import ResidueSystem, _child_seeds, _is_prime, crt_reconstruct, make_residue_system
 
 __all__ = [
@@ -224,14 +224,6 @@ def _random_init(codebooks, rng, out=None) -> np.ndarray:
     words = rng.bit_generator.random_raw(-(-K * D // 4)).astype("<u8", copy=False)
     # uint16 indices fit the table, so mode="wrap" never wraps; unlike "raise" it writes into out directly
     return _INIT_ROOTS.take(words.view("<u2")[:K * D].reshape(K, D), out=out, mode="wrap")
-
-
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.real(np.vdot(a, b)) / (na * nb))
 
 
 def _claim_cosine(v_vals: np.ndarray, codebooks, labels) -> float:
@@ -498,26 +490,6 @@ class CapacityResult:
         """Largest tested range with accuracy at or above the threshold."""
         passing = [p.M for p in self.points if p.accuracy >= self.accuracy_threshold]
         return max(passing) if passing else 0
-
-    def capacity_interpolated(self) -> float:
-        """Threshold crossing of the accuracy curve, interpolated in log M.
-
-        Less quantized than :attr:`capacity` when the prime windows are
-        coarse: the crossing between the last window at or above the
-        threshold and the next one below it is located on a log-M line.
-        """
-        thr = self.accuracy_threshold
-        passing = [i for i, p in enumerate(self.points) if p.accuracy >= thr]
-        if not passing:
-            return 0.0
-        i = max(passing)
-        if i + 1 >= len(self.points):
-            return float(self.points[i].M)
-        lo, hi = self.points[i], self.points[i + 1]
-        if lo.accuracy == hi.accuracy:
-            return float(lo.M)
-        frac = (lo.accuracy - thr) / (lo.accuracy - hi.accuracy)
-        return float(math.exp(math.log(lo.M) + frac * math.log(hi.M / lo.M)))
 
 
 def capacity_experiment(

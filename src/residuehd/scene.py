@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 
+# a bool value would read as 1.0 or 0.0; neither type admits a subclass, so type() finds every bool
+_BOOL_TYPES = (bool, np.bool_)
+
+
 @dataclass(frozen=True)
 class FeatureMaps:
     """Sparse (x, y, value) coefficients per feature channel on an H x W grid."""
@@ -58,11 +62,21 @@ class FeatureMaps:
         H, W = (_index(n, "grid") for n in self.grid)
         if H < 1 or W < 1:
             raise ValueError(f"grid must be positive, got {self.grid}")
+        if not isinstance(self.channels, dict):
+            raise ValueError(f"channels must map channel ids to (x, y, value) rows, got {self.channels!r}")
         frozen = {}
         for j, coeffs in self.channels.items():
             j = _index(j, "channel id")
+            if not isinstance(coeffs, (tuple, list)):
+                raise ValueError(f"channel {j}: expected a sequence of (x, y, value) rows, got {coeffs!r}")
             rows = []
-            for k, (x, y, val) in enumerate(coeffs):
+            for k, row in enumerate(coeffs):
+                try:
+                    x, y, val = row
+                except (TypeError, ValueError):
+                    raise ValueError(f"channel {j}, coeff {k}: expected an (x, y, value) row, got {row!r}") from None
+                if type(val) in _BOOL_TYPES:
+                    raise ValueError(f"channel {j}, coeff {k}: value must be a number, got {val!r}")
                 x, y = _index(x, "x"), _index(y, "y")
                 if not (0 <= x < W and 0 <= y < H):
                     raise ValueError(f"channel {j}, coeff {k}: position ({x}, {y}) outside {W}x{H} grid")
@@ -90,10 +104,6 @@ class SceneVector:
             raise ValueError("scene vector has non-finite components")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass
 class SceneDecode:
@@ -109,9 +119,9 @@ class SceneDecode:
 def load_feature_maps(path) -> FeatureMaps:
     """Read the {grid, channels} JSON format; a malformed file raises ValueError.
 
-    Checks the JSON shape, naming the entry at fault, that no channel id
-    repeats and that no value is a JSON true or false; FeatureMaps checks
-    the values, so a float position is rejected.
+    Checks the JSON objects and lists, naming the entry at fault, and that
+    no channel id repeats; FeatureMaps checks the rows and their values,
+    so a float position or a true or false value is rejected.
     """
     doc = json.loads(Path(path).read_text(encoding="ascii"))
     if not isinstance(doc, dict) or "grid" not in doc or not isinstance(doc.get("channels"), list):
@@ -125,12 +135,7 @@ def load_feature_maps(path) -> FeatureMaps:
             raise ValueError(f"channel entry {c_idx}: needs an integer 'id' and a 'coeffs' list")
         if ch["id"] in channels:
             raise ValueError(f"channel entry {c_idx}: id {ch['id']} repeats an earlier channel")
-        for k, row in enumerate(ch["coeffs"]):
-            # FeatureMaps would read a bool value as 1.0 or 0.0; checked here, off the translate path
-            if not (isinstance(row, list) and len(row) == 3 and not isinstance(row[2], bool)):
-                raise ValueError(f"channel {ch['id']}, coeff {k}: expected [x, y, value] with a number value, "
-                                 f"got {row!r}")
-        channels[ch["id"]] = tuple(map(tuple, ch["coeffs"]))
+        channels[ch["id"]] = ch["coeffs"]
     return FeatureMaps(grid=tuple(grid), channels=channels)
 
 

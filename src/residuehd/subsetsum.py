@@ -46,6 +46,15 @@ __all__ = [
 ]
 
 
+def _index_tuple(values, name: str, each: str | None = None) -> tuple[int, ...]:
+    """values as a tuple of integers, each named each (default: name); a non-iterable raises ValueError."""
+    try:
+        it = iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
+    return tuple(_index(v, each or name) for v in it)
+
+
 @dataclass(frozen=True)
 class SubsetSumInstance:
     """A multiset of positive integers, a target, and (optionally) a planted subset."""
@@ -56,9 +65,9 @@ class SubsetSumInstance:
     seed: int | None = None
 
     def __post_init__(self):
-        items = tuple(_index(s, "item") for s in self.items)
+        items = _index_tuple(self.items, "items", "item")
         target = _index(self.target, "target")
-        gt = None if self.ground_truth is None else tuple(sorted(_index(i, "ground_truth") for i in self.ground_truth))
+        gt = None if self.ground_truth is None else tuple(sorted(_index_tuple(self.ground_truth, "ground_truth")))
         seed = None if self.seed is None else _index(self.seed, "seed")
         for name, value in (("items", items), ("target", target), ("ground_truth", gt), ("seed", seed)):
             object.__setattr__(self, name, value)

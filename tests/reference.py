@@ -10,7 +10,11 @@ answer by brute force what the library computes by structure: argmax
 decoding against a whole codebook, the kernel as a sinc series, the
 hexagonal state count by enumeration, subset sums by dynamic programming
 and by enumeration, and the all-ones identity vector.
+capacity_interpolated reads a capacity sweep's threshold crossing more
+finely than CapacityResult.capacity, for the capacity-trend criterion.
 """
+
+import math
 
 import numpy as np
 
@@ -80,6 +84,27 @@ def codebook_decode(v, codebook):
     if not np.all(np.isfinite(scores)):
         raise ValueError("non-finite scores: the input overflows the inner products")
     return int(np.argmax(scores))
+
+
+def capacity_interpolated(res):
+    """A CapacityResult's threshold crossing of its accuracy curve, interpolated in log M.
+
+    Less quantized than res.capacity when the prime windows are coarse:
+    the crossing between the last window at or above the threshold and
+    the next one below it is located on a log-M line.
+    """
+    thr = res.accuracy_threshold
+    passing = [i for i, p in enumerate(res.points) if p.accuracy >= thr]
+    if not passing:
+        return 0.0
+    i = max(passing)
+    if i + 1 >= len(res.points):
+        return float(res.points[i].M)
+    lo, hi = res.points[i], res.points[i + 1]
+    if lo.accuracy == hi.accuracy:
+        return float(lo.M)
+    frac = (lo.accuracy - thr) / (lo.accuracy - hi.accuracy)
+    return float(math.exp(math.log(lo.M) + frac * math.log(hi.M / lo.M)))
 
 
 def sinc_comb(m, dx, n_terms):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from reference import hex_state_count_enumerated, sinc_comb
+from reference import capacity_interpolated, hex_state_count_enumerated, sinc_comb
 from residuehd.baselines import (
     cosine,
     float_encode,
@@ -112,7 +112,7 @@ def test_criterion_05_capacity_trends():
         res = capacity_experiment(
             D=D, K=K, trials=300, seed=1006, growth=1.3, stop_threshold=0.75
         )
-        return res.capacity_interpolated()
+        return capacity_interpolated(res)
 
     caps_D = {D: cap(D, 2) for D in (256, 512, 1024)}
     caps_K = {2: caps_D[1024], 3: cap(1024, 3), 4: cap(1024, 4)}

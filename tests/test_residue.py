@@ -88,7 +88,6 @@ def prime_sys():
 class TestMakeResidueSystem:
     def test_range_and_budget(self, sys357):
         assert sys357.range_M == 105
-        assert sys357.codebook_budget_b == 15
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError, match="4 and 6"):

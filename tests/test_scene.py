@@ -37,6 +37,18 @@ class TestFeatureMaps:
         with pytest.raises(ValueError, match="non-finite"):
             FeatureMaps(grid=(4, 4), channels={1: ((0, 0, math.nan),)})
 
+    @pytest.mark.parametrize("channels, where", [
+        (5, "channels"),
+        ({0: 5}, "channel 0:"),
+        ({0: (5,)}, "channel 0, coeff 0:"),
+        ({0: ((1, 2),)}, "channel 0, coeff 0:"),
+        ({0: ((1, 2, True),)}, "channel 0, coeff 0:"),
+    ], ids=["not-a-mapping", "rows-not-a-sequence", "row-not-a-sequence", "short-row", "bool-value"])
+    def test_malformed_channels_named(self, channels, where):
+        # once an AttributeError, a bare TypeError, an unnamed unpacking ValueError, and a bool read as 1.0
+        with pytest.raises(ValueError, match=f"^{where}"):
+            FeatureMaps(grid=(4, 4), channels=channels)
+
     def test_round_trip_bit_exact(self, tmp_path):
         objects = make_synthetic_objects(10, 4, (16, 16), footprint=8, coeffs_per_object=6, seed=0)
         for i, obj in enumerate(objects):

@@ -50,6 +50,15 @@ class TestInstance:
         with pytest.raises(ValueError, match="must be an integer, got (True|False)$"):
             SubsetSumInstance(**fields)
 
+    @pytest.mark.parametrize("fields, name", [
+        (dict(items=5, target=1), "items"),
+        (dict(items=(1, 2), target=1, ground_truth=3), "ground_truth"),
+    ], ids=["items", "ground_truth"])
+    def test_non_sequence_named(self, fields, name):
+        # a bare TypeError "'int' object is not iterable" once
+        with pytest.raises(ValueError, match=f"^{name} must be a sequence of integers, got {fields[name]}$"):
+            SubsetSumInstance(**fields)
+
     def test_ground_truth_accepted(self):
         inst = SubsetSumInstance(items=(3, 4, 5), target=8, ground_truth=(0, 2))
         assert inst.ground_truth == (0, 2)
