@@ -19,6 +19,7 @@ import json
 import math
 import platform
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -255,14 +256,10 @@ def _cmd_capacity(cfg, outdir):
     )
     records = [
         {
+            **asdict(p),
             "D": res.D,
             "K": res.K,
             "kappa": res.kappa,
-            "moduli": list(p.moduli),
-            "M": p.M,
-            "trials": p.trials,
-            "accuracy": p.accuracy,
-            "mean_evaluations": p.mean_evaluations,
             "capacity_flag": p.accuracy >= res.accuracy_threshold,
             "seed": cfg["seed"],
         }

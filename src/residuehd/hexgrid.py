@@ -39,7 +39,6 @@ __all__ = [
     "encode_cartesian",
     "sample_hex_base",
     "HexSystem",
-    "round_to_hex_coord",
     "hex_state_count",
     "square_state_count",
     "code_entropy",
@@ -82,17 +81,6 @@ def sample_hex_base(m: int, D: int, seed: int) -> tuple[ModulusBase, ModulusBase
     b2 = sample_base(m, D, s2)
     u3 = (-(b1.phase_indices + b2.phase_indices)) % m
     return b1, b2, ModulusBase(m, u3)
-
-
-def round_to_hex_coord(y) -> np.ndarray:
-    """Nearest integer 3-coordinate; half-integer ties take the lower value.
-
-    Componentwise rounding is exact for the cubic lattice, and taking
-    the lower coordinate on ties yields the lexicographically smallest
-    of the equidistant candidates.
-    """
-    y = np.asarray(y, dtype=float)
-    return np.ceil(y - 0.5).astype(np.int64)
 
 
 class HexSystem:

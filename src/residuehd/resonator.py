@@ -159,12 +159,10 @@ class ResonatorConfig:
     def __post_init__(self, verify):
         if not verify:
             raise ValueError("every resonator run verifies its answer; verify=False is not supported")
-        self.max_iters = _index(self.max_iters, "max_iters")
+        self.max_iters = _count(self.max_iters, "max_iters")
         self.max_restarts = _index(self.max_restarts, "max_restarts")
         if self.seed is not None:
             self.seed = _index(self.seed, "seed")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
         if self.seed is not None and self.seed < 0:
@@ -422,6 +420,8 @@ def bits_per_vector(a: float, P: int) -> float:
 def consecutive_primes(start: int, count: int) -> list[int]:
     """The first `count` primes >= start; both must be integers."""
     count = _index(count, "count")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     out = []
     n = max(2, _index(start, "start"))
     while len(out) < count:

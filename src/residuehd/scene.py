@@ -113,7 +113,6 @@ class SceneDecode:
     converged: bool
     evaluations: int
     restarts_used: int
-    total_codebook_vectors: int
 
 
 def load_feature_maps(path) -> FeatureMaps:
@@ -231,7 +230,6 @@ class SceneCodec:
             raise ValueError(f"unknown mode {mode!r}")
         h_books, v_books = self.layouts[mode]
         books = [object_codebook, *h_books, *v_books]
-        total_vectors = sum(cb.n_entries for cb in books)
         config = config or ResonatorConfig(max_iters=15, max_restarts=9)
         z = phase_normalize(s.values)
         state = resonator_factorize(z, books, config)
@@ -246,7 +244,6 @@ class SceneCodec:
             converged=state.converged,
             evaluations=state.codebook_evaluations,
             restarts_used=state.restarts_used,
-            total_codebook_vectors=total_vectors,
         )
 
 
@@ -323,13 +320,12 @@ def scene_experiment(
     out = {"D": D, "n_objects": n_objects, "grid": list(grid), "moduli": list(moduli), "modes": {}}
     base_cfg = config or ResonatorConfig(max_iters=15, max_restarts=9)
     for m_idx, mode in enumerate(("residue", "standard")):
+        vectors = object_cb.n_entries + sum(b.n_entries for axis in codec.layouts[mode] for b in axis)
         hits = 0
         evals = []
-        vectors = None
         for t, (i, dx, dy, s) in enumerate(scenes):
             cfg = replace(base_cfg, seed=_child_seeds(seed, (m_idx, t))[0])
             dec = codec.factorize_scene(s, object_cb, mode=mode, config=cfg)
-            vectors = dec.total_codebook_vectors
             evals.append(dec.evaluations)
             if dec.object_id == i and dec.x == dx and dec.y == dy:
                 hits += 1

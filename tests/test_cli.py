@@ -112,9 +112,10 @@ class TestExperimentCommands:
         assert rc == 0
         lines = (out / "capacity.jsonl").read_text().strip().splitlines()
         assert lines
-        rec = json.loads(lines[0])
-        for key in ("D", "K", "moduli", "M", "kappa", "trials", "accuracy", "mean_evaluations", "capacity_flag", "seed"):
-            assert key in rec
+        for line in lines:
+            assert set(json.loads(line)) == {
+                "D", "K", "moduli", "M", "kappa", "trials", "accuracy", "mean_evaluations", "capacity_flag", "seed"
+            }
 
     def test_noise_command(self, tmp_path):
         out = tmp_path / "n"
@@ -157,6 +158,10 @@ class TestExperimentCommands:
         assert "mean_solve_seconds" not in rec  # wall clock stays out of the files
         results = (out / "subset_sum_results.jsonl").read_text().strip().splitlines()
         assert len(results) == 5
+        for line in results:
+            assert set(json.loads(line)) == {
+                "n", "D", "instance_seed", "target", "success", "subset", "restarts_used", "evaluations"
+            }
 
     def test_scene_command(self, tmp_path):
         out = tmp_path / "sc"

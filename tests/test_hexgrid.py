@@ -14,7 +14,6 @@ from residuehd.hexgrid import (
     encode_cartesian,
     hex_project,
     hex_state_count,
-    round_to_hex_coord,
     sample_hex_base,
     square_state_count,
     write_hex_heatmap_csv,
@@ -45,14 +44,6 @@ class TestProjectionFrame:
             x = rng.normal(size=2)
             y = hex_project(x)
             assert abs(np.dot(y, y) - 1.5 * np.dot(x, x)) < 1e-10
-
-
-class TestRounding:
-    def test_plain_rounding(self):
-        assert round_to_hex_coord([0.4, 0.6, -0.4]).tolist() == [0, 1, 0]
-
-    def test_tie_takes_lower(self):
-        assert round_to_hex_coord([0.5, -0.5, 1.5]).tolist() == [0, -1, 1]
 
 
 class TestCartesianEncoding:

@@ -507,6 +507,11 @@ class TestFactorize:
         with pytest.raises(ValueError, match="^seed must be an integer, got "):
             ResonatorConfig(seed=seed)
 
+    @pytest.mark.parametrize("max_iters", [0, -2])
+    def test_config_max_iters_must_be_positive(self, max_iters):
+        with pytest.raises(ValueError, match=f"^max_iters must be >= 1, got {max_iters}$"):
+            ResonatorConfig(max_iters=max_iters)
+
     def test_config_seed_must_not_be_negative(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             ResonatorConfig(seed=-1)
@@ -683,6 +688,9 @@ class TestCapacityExperiment:
     def test_primes_helper(self):
         assert consecutive_primes(2, 5) == [2, 3, 5, 7, 11]
         assert consecutive_primes(90, 2) == [97, 101]
+        assert consecutive_primes(2, 0) == []
+        with pytest.raises(ValueError, match="count must be >= 0, got -3"):
+            consecutive_primes(2, -3)
 
     def test_small_sweep_structure(self):
         res = capacity_experiment(D=128, K=2, trials=20, seed=7, growth=2.0, max_M=2000)

@@ -396,3 +396,16 @@ class TestBenchmark:
         for row in out["results"]:
             if row["success"]:
                 assert row["subset"] is not None
+
+    def test_success_within_budget_is_share_solved(self):
+        out = benchmark(
+            sizes=[4],
+            D_values=[512],
+            m=30,
+            trials=6,
+            seed=0,
+            config=ResonatorConfig(max_iters=20, max_restarts=9),
+        )
+        rec = out["summary"][0]
+        share = sum(row["success"] for row in out["results"]) / len(out["results"])
+        assert rec["success_within_budget"] == rec["success_by_attempt"][-1] == share
