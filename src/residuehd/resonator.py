@@ -7,8 +7,11 @@ factor is pulled apart by iterating, one factor at a time,
 
 where Z_j stacks factor j's codebook entries and g projects every
 component back onto the unit circle. The loop runs asynchronous sweeps
-(each factor once per sweep) until the cosine similarity between
-successive full states reaches the threshold ALPHA.
+(each factor once per sweep). An attempt is accepted as soon as a sweep
+leaves estimates whose own product reproduces the input and whose
+decoded labels pass the claim check (see ResonatorConfig); otherwise it
+runs until the cosine similarity between successive full states
+reaches the threshold ALPHA, or its sweep budget ends.
 
 An attempt starts from K x D phases drawn uniformly from the 2^16-th
 roots of unity, a gather from one 1 MiB table. It then forms the
@@ -29,12 +32,30 @@ products with a residual x are the DFT of h, x summed per phase index
 A step computes only what the next step reads: it writes the new
 estimate into the state's row and returns a summary (h for a
 ModulusBase, the coefficients for a Codebook) from which
-coefficients() gives the m inner products. A sweep reads no label, so
-resonator_factorize reads each factor's label from its last summary
-once per attempt: a modular step costs O(D + m) time and O(D) memory in
-place of the O(m * D) of dense matrix products, and the length-m DFT
-runs once per factor per attempt. codebook_evaluations still counts m
-inner products per step, the paper's unit of cost, not the DFTs run.
+coefficients() gives the m inner products. No step reads a label, so a
+modular step costs O(D + m) time and O(D) memory in place of the
+O(m * D) of dense matrix products. Labels are read from the factors'
+last summaries, by one length-m DFT per factor, only where a sweep is
+decoded: when the attempt ends, and, between, after a sweep whose
+estimates pass a gate that costs one D-length sum. The gate is
+|sum(P)| > VERIFY_THRESHOLD * sqrt(D) * |v|: the cosine, up to a global
+phase, between the input and the estimates' own product, read from the
+unbound product P the attempt already keeps, and never passed by a zero
+input. Only a sweep that passes it reads labels and scores the claim,
+so a right attempt stops a few sweeps before it settles, and a sweep
+whose estimates do not reproduce the input runs no DFT.
+codebook_evaluations still counts m inner products per step, the
+paper's unit of cost, not the DFTs run.
+
+A caller that needs the settled state passes settle=True, which skips
+the gate, so every attempt sweeps until it settles as before:
+sub_integer_decode and subinteger_overlay, which read the fractional
+phase the settled estimates carry (at the subint command's defaults the
+settled overlay is within 0.09 of the kernel, the first estimates that
+reproduce the input up to 0.45 from it), and
+SceneCodec.factorize_scene, whose standard layout would otherwise save
+more sweeps than its residue layout and shrink the evaluation ratio
+between the two that the paper's scene experiment measures.
 
 Also here: sub-integer decoding (the resonator's fixed points retain
 fractional phase information even though codebooks hold only integer
@@ -141,11 +162,14 @@ VERIFY_THRESHOLD = 0.5
 class ResonatorConfig:
     """Knobs for the factorization loop.
 
-    An attempt's sweeps end early once the successive-state similarity
-    reaches ALPHA. An attempt is accepted when the Hadamard product of
-    the codebook entries it decoded has cosine at least VERIFY_THRESHOLD
-    with the input; otherwise the loop restarts from fresh random
-    phases, up to max_restarts times. Both counts, and the seed unless
+    An attempt is accepted when the Hadamard product of the codebook
+    entries it decoded has cosine at least VERIFY_THRESHOLD with the
+    input. That claim is scored after any sweep whose estimates' own
+    product already has that cosine with the input, and once more when
+    the attempt ends: at max_iters sweeps, or earlier once the
+    successive-state similarity reaches ALPHA. An attempt that ends
+    unaccepted is followed by one from fresh random phases, up to
+    max_restarts times. Both counts, and the seed unless
     it is None, must be integers (a float, bool or string raises an error
     that is both a TypeError and a ValueError), and none may be negative.
     `verify` is accepted for old callers only and must be True.
@@ -174,9 +198,10 @@ class ResonatorState:
     """Per-factor estimates plus convergence and cost bookkeeping.
 
     labels holds the decoded entry of each factor as its codebook row
-    index, read after an attempt's last sweep. converged is True when
-    an attempt's decoded labels reproduce the input, so they are the
-    answer for any input that is a clean product of codebook entries.
+    index, read after the sweep its attempt stopped at. converged is
+    True when an attempt's decoded labels reproduce the input, so they
+    are the answer for any input that is a clean product of codebook
+    entries.
     claim_cosine is that check's score for the returned attempt: the
     cosine between the input and the product of its decoded entries.
     """
@@ -233,14 +258,27 @@ def _claim_cosine(v_vals: np.ndarray, codebooks, labels) -> float:
     return _cosine(product, v_vals)
 
 
-def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfig | None = None) -> ResonatorState:
-    """Run asynchronous sweeps until the state settles, restarting on demand.
+def resonator_factorize(
+    v,
+    codebooks: Sequence[Codebook],
+    config: ResonatorConfig | None = None,
+    *,
+    settle: bool = False,
+) -> ResonatorState:
+    """Run asynchronous sweeps until an attempt is accepted, restarting on demand.
+
+    An attempt stops at the first sweep whose decoded claim passes (see
+    ResonatorConfig for the rule). With settle=True no claim is scored
+    before the attempt's last sweep, so every attempt sweeps until its
+    state settles or its budget ends, and the returned estimates are
+    that settled state; callers that read the estimates themselves pass
+    it. Both rules give the same attempt trajectories up to where the
+    default stops, so the default never takes more sweeps or attempts.
 
     Returns a state whose `converged` flag reports whether an attempt
-    was accepted (see ResonatorConfig for the rule). A failed run still
-    carries the labels and estimates of the attempt whose decoded
-    product came closest to the input, with converged False, never a
-    silent wrong claim.
+    was accepted. A failed run still carries the labels and estimates
+    of the attempt whose decoded product came closest to the input,
+    with converged False, never a silent wrong claim.
     """
     config = config or ResonatorConfig()
     codebooks = list(codebooks)
@@ -262,9 +300,14 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
     state = ResonatorState(estimates=np.empty((K, D), dtype=np.complex128))
     prev = np.empty_like(state.estimates)
     residual, scratch = np.empty(D, dtype=np.complex128), np.empty(D, dtype=np.complex128)
-    summaries = [None] * K  # each factor's last step summary, read once per attempt
+    summaries = [None] * K  # each factor's last step summary, read only where a sweep is decoded
     best = None  # (claim cosine, labels) of the best failed attempt so far
     best_estimates = None  # its estimates: one buffer, allocated at the first failed attempt
+
+    # the gate of the module docstring: |sum(P)| / (sqrt(D) |v|) is the
+    # cosine, up to a global phase, between the input and the estimates'
+    # product; strict, so a zero input never passes
+    gate = VERIFY_THRESHOLD * math.sqrt(D) * float(np.linalg.norm(v_vals))
 
     for attempt in range(1 + config.max_restarts):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(attempt,)))
@@ -274,7 +317,7 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
         # module docstring); it is not recomputed per sweep, and its drift
         # cannot reach a claim, which _claim_cosine checks on exact rows
         unbound = v_vals * state.estimates.prod(axis=0).conj()
-        for _ in range(config.max_iters):
+        for sweep in range(1, config.max_iters + 1):
             # the sweep writes over the buffer of the sweep before last and
             # keeps the estimates it replaces in prev; a step reads only its
             # own factor's estimate, so the stale rows are never read
@@ -286,11 +329,14 @@ def resonator_factorize(v, codebooks: Sequence[Codebook], config: ResonatorConfi
                 np.multiply(residual, np.conjugate(state.estimates[j], out=scratch), out=unbound)
             state.iteration += 1
             sim = float(np.real(np.vdot(prev.ravel(), state.estimates.ravel())) / (K * D))
-            if sim >= ALPHA:
-                break
-        # no step reads a label, so only the attempt's last sweep is decoded
-        state.labels[:] = [_label(cb, s) for cb, s in zip(codebooks, summaries)]
-        state.claim_cosine = _claim_cosine(v_vals, codebooks, state.labels)
+            settled = sim >= ALPHA or sweep == config.max_iters
+            # no step reads a label: a sweep is decoded only when the attempt
+            # ends or its estimates' own product reproduces the input
+            if settled or (not settle and abs(unbound.sum()) > gate):
+                state.labels[:] = [_label(cb, s) for cb, s in zip(codebooks, summaries)]
+                state.claim_cosine = _claim_cosine(v_vals, codebooks, state.labels)
+                if settled or state.claim_cosine >= VERIFY_THRESHOLD:
+                    break
         if state.claim_cosine >= VERIFY_THRESHOLD:
             state.converged = True
             break
@@ -333,7 +379,9 @@ def sub_integer_decode(
     """Decode a rational encoded on the grid of r partitions per unit.
 
     Three steps: run the resonator to a fixed point over the integer
-    codebooks, find the nearest integer codebook entries per modulus
+    codebooks (settle=True, so the top entries are read from the
+    settled state whose fractional phase subinteger_overlay plots),
+    find the nearest integer codebook entries per modulus
     and reconstruct candidate anchor integers, then codebook-decode the
     input against the encodings of all fractional grid values within
     range 1 of each anchor. Returns (value, state) with value a
@@ -352,7 +400,7 @@ def sub_integer_decode(
     ValueError, before any decode, unless r is an integer >= 1.
     """
     r = _count(r, "partitions")
-    state = resonator_factorize(v, sys.bases, config)
+    state = resonator_factorize(v, sys.bases, config, settle=True)
     v = v if isinstance(v, PhasorVector) else PhasorVector.dense(v, validate=False)
     # nearest and runner-up integer per modulus, by gauge-invariant magnitude;
     # factor j's residual is the unbound product times est_j, as in a sweep
@@ -383,10 +431,11 @@ def subinteger_overlay(
 
     For a fractional input, the magnitude of the inner product between
     the settled factor state and integer entry r should follow the
-    sinc-comb kernel |K_m(q - r)|. Returns (modulus, entry, measured,
-    predicted) rows for plotting; qualitative, no tolerance attached.
+    sinc-comb kernel |K_m(q - r)|, so the resonator runs with
+    settle=True. Returns (modulus, entry, measured, predicted) rows for
+    plotting.
     """
-    state = resonator_factorize(sys.encode_rational(q), sys.bases, config)
+    state = resonator_factorize(sys.encode_rational(q), sys.bases, config, settle=True)
     rows = []
     for j, base in enumerate(sys.bases):
         coeffs = np.abs(base.project(state.estimates[j])) / sys.dim

@@ -540,6 +540,50 @@ class TestFactorize:
         assert st.restarts_used == 3
 
 
+def _costs(st):
+    return st.iteration, st.codebook_evaluations, st.restarts_used
+
+
+class TestEarlyAccept:
+    """The default stop rule against settle=True, on the same seed."""
+
+    @settings(max_examples=60)
+    @given(moduli=strategies.sampled_from([(2, 3), (3, 5), (5, 7), (7, 11), (11, 13), (3, 5, 7), (5, 7, 11)]),
+           D=strategies.integers(256, 2048), sys_seed=strategies.integers(0, 2**32 - 1),
+           res_seed=strategies.integers(0, 2**32 - 1), data=strategies.data())
+    def test_never_costs_more_than_settling(self, moduli, D, sys_seed, res_seed, data):
+        # both rules follow the same trajectory until the default accepts,
+        # so the default's run is the settled run cut short
+        sys = make_residue_system(moduli, D, seed=sys_seed)
+        x = data.draw(strategies.integers(0, sys.range_M - 1), label="x")
+        cfg = ResonatorConfig(max_iters=30, max_restarts=3, seed=res_seed)
+        early = resonator_factorize(sys.encode(x), sys.bases, cfg)
+        settled = resonator_factorize(sys.encode(x), sys.bases, cfg, settle=True)
+        assert all(e <= s for e, s in zip(_costs(early), _costs(settled)))
+        if early.converged:
+            assert tuple(early.labels) == tuple(x % m for m in moduli)
+
+    @settings(max_examples=20)
+    @given(moduli=strategies.sampled_from([(3, 5), (7, 11), (3, 5, 7)]), D=strategies.integers(256, 2048),
+           seed=strategies.integers(0, 2**32 - 1))
+    def test_zero_input_takes_the_settled_sweeps(self, moduli, D, seed):
+        sys = make_residue_system(moduli, D, seed=0)
+        cfg = ResonatorConfig(max_iters=30, max_restarts=2, seed=seed)
+        zero = np.zeros(D, dtype=complex)
+        early = resonator_factorize(zero, sys.bases, cfg)
+        settled = resonator_factorize(zero, sys.bases, cfg, settle=True)
+        assert _costs(early) == _costs(settled)
+        assert not early.converged and not settled.converged
+
+    def test_right_attempts_stop_before_they_settle(self, sys357, books357):
+        cfg = ResonatorConfig(max_iters=30, seed=0)
+        early = [resonator_factorize(sys357.encode(x), books357, cfg) for x in range(0, 105, 7)]
+        settled = [resonator_factorize(sys357.encode(x), books357, cfg, settle=True) for x in range(0, 105, 7)]
+        assert all(st.converged for st in early + settled)
+        assert [tuple(st.labels) for st in early] == [tuple(st.labels) for st in settled]
+        assert sum(st.iteration for st in early) < sum(st.iteration for st in settled)
+
+
 class TestDecodeResidueNumber:
     def test_exhaustive_round_trip(self, sys357, books357):
         for x in range(105):
@@ -682,6 +726,17 @@ class TestSubintegerOverlay:
             top_measured = max(per_m, key=lambda r: r[1])[0]
             by_predicted = sorted(per_m, key=lambda r: -r[2])
             assert top_measured in {by_predicted[0][0], by_predicted[1][0]}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_settled_state_at_cli_defaults(self, seed):
+        # the subint command's overlay: an estimate taken at the first sweep
+        # that reproduces the input sits up to 0.45 off the kernel, and the
+        # top-entry check above does not see it
+        from residuehd.resonator import subinteger_overlay
+
+        sys = make_residue_system([31, 37], 512, seed=seed)
+        rows = subinteger_overlay(sys, sys.range_M // 3 + 0.25, ResonatorConfig(max_iters=50, seed=seed))
+        assert max(abs(measured - predicted) for _, _, measured, predicted in rows) <= 0.1
 
 
 class TestCapacityExperiment:

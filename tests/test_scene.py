@@ -277,9 +277,9 @@ class TestFactorization:
     def test_residue_layout_built_once(self, monkeypatch):
         factorize, passed = scene.resonator_factorize, []
 
-        def recording_factorize(v, books, cfg):
-            passed.append(books)
-            return factorize(v, books, cfg)
+        def recording_factorize(v, books, cfg, **kwargs):
+            passed.append((books, kwargs))
+            return factorize(v, books, cfg, **kwargs)
 
         monkeypatch.setattr(scene, "resonator_factorize", recording_factorize)
         codec = small_codec()
@@ -291,8 +291,9 @@ class TestFactorization:
         # the position books are the systems' own bases, not copies
         own = [*codec.hsys.bases, *codec.vsys.bases]
         assert len(passed) == 2
-        for books in passed:
+        for books, kwargs in passed:
             assert books[0] is cb and len(books) == 1 + len(own)
+            assert kwargs == {"settle": True}
             assert all(b is o for b, o in zip(books[1:], own))
         h_books, v_books = codec.layouts["residue"]
         assert h_books is codec.hsys.bases and v_books is codec.vsys.bases
