@@ -14,7 +14,6 @@ modular phasor code:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .phasor import _cosine
 
@@ -118,11 +117,53 @@ def _rational_quadratic(d, alpha, length):
     return (1.0 + d**2 / (2.0 * alpha * length**2)) ** (-alpha)
 
 
+_FIT_MAX_ITERS = 1000
+_FIT_FTOL = 1e-12  # a relative cost decrease this small ends a fit
+_FIT_DIFF_STEP = 1e-8  # forward-difference step in log-parameter space
+
+
+def _fit_positive(fn, x, y, p0):
+    """Levenberg-Marquardt least squares of fn(x, *p) to y over log p, so p > 0.
+
+    A step whose cost is not finite is rejected. None when the start or a
+    Jacobian is not finite, or the fit runs past _FIT_MAX_ITERS.
+    """
+    def residual(q):
+        r = fn(x, *np.exp(q)) - y
+        return r, (r @ r if np.all(np.isfinite(r)) else np.inf)
+
+    q, lam = np.log(np.asarray(p0, dtype=float)), 1e-3
+    diffs = np.eye(q.size) * _FIT_DIFF_STEP
+    with np.errstate(all="ignore"):
+        r, cost = residual(q)
+        for _ in range(_FIT_MAX_ITERS):
+            jac = np.stack([residual(q + h)[0] - r for h in diffs], axis=1) / _FIT_DIFF_STEP
+            scale = np.linalg.norm(jac, axis=0)
+            if not (np.isfinite(cost) and np.all(np.isfinite(scale))):
+                return None
+            while True:
+                aug = np.vstack([jac, np.diag(np.sqrt(lam) * scale)])
+                step = np.linalg.lstsq(aug, np.concatenate([-r, np.zeros(q.size)]), rcond=None)[0]
+                trial, trial_cost = residual(q + step)
+                if trial_cost < cost:
+                    break
+                lam *= 10.0
+                if lam > 1e12:  # no step lowers the cost: q is a minimum
+                    return np.exp(q)
+            drop = cost - trial_cost
+            q, r, cost, lam = q + step, trial, trial_cost, lam / 10.0
+            if drop <= _FIT_FTOL * (cost + drop):
+                return np.exp(q)
+    return None
+
+
 def fit_kernel_shapes(deltas, sims) -> dict:
     """Least-squares fit of three candidate kernels to an empirical curve.
 
-    Returns per-kernel parameters and mean squared error, plus the name
-    of the best (lowest-MSE) fit.
+    Each fit is a Levenberg-Marquardt over the log-parameters with
+    forward differences (_fit_positive). Returns per-kernel parameters
+    and mean squared error, plus the name of the best (lowest-MSE) fit;
+    a failed fit keeps its starting parameters and an infinite MSE.
     """
     deltas = np.asarray(deltas, dtype=float)
     sims = np.asarray(sims, dtype=float)
@@ -133,13 +174,11 @@ def fit_kernel_shapes(deltas, sims) -> dict:
     }
     fits = {}
     for name, (fn, p0) in candidates.items():
-        try:
-            params, _ = curve_fit(
-                fn, deltas, sims, p0=p0, bounds=(1e-9, np.inf), maxfev=20000
-            )
-            mse = float(np.mean((fn(deltas, *params) - sims) ** 2))
-        except RuntimeError:
+        params = _fit_positive(fn, deltas, sims, p0)
+        if params is None:
             params, mse = np.array(p0), float("inf")
+        else:
+            mse = float(np.mean((fn(deltas, *params) - sims) ** 2))
         fits[name] = {"params": [float(p) for p in params], "mse": mse}
     fits["best"] = min((k for k in fits if k != "best"), key=lambda k: fits[k]["mse"])
     return fits

@@ -23,7 +23,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .baselines import (
@@ -160,7 +159,6 @@ def _write_manifest(outdir: Path, command: str, config: dict) -> None:
         "versions": {
             "residuehd": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
         },

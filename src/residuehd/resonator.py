@@ -48,14 +48,14 @@ codebook_evaluations still counts m inner products per step, the
 paper's unit of cost, not the DFTs run.
 
 A caller that needs the settled state passes settle=True, which skips
-the gate, so every attempt sweeps until it settles as before:
-sub_integer_decode and subinteger_overlay, which read the fractional
-phase the settled estimates carry (at the subint command's defaults the
-settled overlay is within 0.09 of the kernel, the first estimates that
-reproduce the input up to 0.45 from it), and
-SceneCodec.factorize_scene, whose standard layout would otherwise save
-more sweeps than its residue layout and shrink the evaluation ratio
-between the two that the paper's scene experiment measures.
+the gate, so every attempt sweeps until it settles as before. Two do:
+subinteger_overlay, which plots the fractional phase the settled
+estimates carry (at the subint command's defaults the settled overlay
+is within 0.09 of the kernel, the first estimates that reproduce the
+input up to 0.45 from it), and SceneCodec.factorize_scene, whose
+standard layout would otherwise save more sweeps than its residue
+layout and shrink the evaluation ratio between the two that the
+paper's scene experiment measures.
 
 Also here: sub-integer decoding (the resonator's fixed points retain
 fractional phase information even though codebooks hold only integer
@@ -378,9 +378,10 @@ def sub_integer_decode(
 ):
     """Decode a rational encoded on the grid of r partitions per unit.
 
-    Three steps: run the resonator to a fixed point over the integer
-    codebooks (settle=True, so the top entries are read from the
-    settled state whose fractional phase subinteger_overlay plots),
+    Three steps: run the resonator over the integer codebooks until its
+    estimates reproduce the input (the early stop every decode takes:
+    the anchors need only the top integer entries, not the settled
+    fractional phase that subinteger_overlay plots),
     find the nearest integer codebook entries per modulus
     and reconstruct candidate anchor integers, then codebook-decode the
     input against the encodings of all fractional grid values within
@@ -400,7 +401,7 @@ def sub_integer_decode(
     ValueError, before any decode, unless r is an integer >= 1.
     """
     r = _count(r, "partitions")
-    state = resonator_factorize(v, sys.bases, config, settle=True)
+    state = resonator_factorize(v, sys.bases, config)
     v = v if isinstance(v, PhasorVector) else PhasorVector.dense(v, validate=False)
     # nearest and runner-up integer per modulus, by gauge-invariant magnitude;
     # factor j's residual is the unbound product times est_j, as in a sweep

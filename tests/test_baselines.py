@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from residuehd import baselines
 from residuehd.baselines import (
     cosine,
     fit_kernel_shapes,
@@ -100,13 +101,39 @@ class TestScatter:
 
 
 class TestKernelFits:
-    def test_recovers_squared_exponential(self):
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            pytest.param("squared_exponential", [5.0], id="squared_exponential"),
+            pytest.param("rational_quadratic", [2.0, 4.0], id="rational_quadratic"),
+            pytest.param("exponentiated_triangular", [0.03, 1.7], id="exponentiated_triangular"),
+        ],
+    )
+    def test_recovers_generating_family(self, family, params):
+        # each family's own curve, fitted from the same starting points as any other
         deltas = np.arange(0, 31)
-        sims = np.exp(-(deltas**2) / (2 * 5.0**2))
+        sims = getattr(baselines, f"_{family}")(deltas.astype(float), *params)
         fits = fit_kernel_shapes(deltas, sims)
-        assert fits["best"] == "squared_exponential"
-        assert fits["squared_exponential"]["mse"] < 1e-10
-        assert abs(fits["squared_exponential"]["params"][0] - 5.0) < 1e-6
+        assert fits["best"] == family
+        assert fits[family]["mse"] < 1e-10
+        assert np.allclose(fits[family]["params"], params, rtol=1e-6, atol=0.0)
+
+    def test_cli_default_curve(self):
+        # the scatter curve of the baselines command at its defaults; the MSEs
+        # are those of scipy.optimize.curve_fit, which the fit replaced
+        fits = fit_kernel_shapes(np.arange(31), scatter_similarity_curve(31, 1000, 0.05, range(50)))
+        assert fits["best"] == "exponentiated_triangular"
+        for family, mse in (
+            ("exponentiated_triangular", 6.9957831434e-06),
+            ("squared_exponential", 1.04316150696e-02),
+            ("rational_quadratic", 1.16810221198e-03),
+        ):
+            assert fits[family]["mse"] <= mse * (1 + 1e-6)
+
+    def test_failed_fit_reports_start(self):
+        # a curve no positive parameters can fit finitely keeps p0 and an infinite MSE
+        fits = fit_kernel_shapes(np.arange(31), np.full(31, np.nan))
+        assert fits["squared_exponential"] == {"params": [10.0], "mse": float("inf")}
 
     def test_fits_scatter_curve(self):
         curve = scatter_similarity_curve(31, 1000, 0.05, seeds=range(20))

@@ -2,10 +2,12 @@
 
 import json
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import residuehd
 
@@ -32,7 +34,6 @@ class TestKernelCommand:
         assert manifest["versions"] == {
             "residuehd": residuehd.__version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
             "blas": {"name": blas["name"], "version": blas["version"]},
         }
@@ -179,6 +180,20 @@ class TestExperimentCommands:
         assert rc == 0
         for name in ("thermometer.csv", "float.csv", "scatter.csv", "scatter_fits.json"):
             assert (out / name).exists()
+
+    def test_baselines_runs_without_scipy(self, tmp_path):
+        # a fresh interpreter in which every scipy import fails, as in a numpy-only install
+        probe = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from residuehd.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        argv = ["baselines", "--scatter-D", "100", "--scatter-seeds", "2", "--out", str(tmp_path / "b")]
+        src = str(Path(residuehd.__file__).parent.parent)
+        run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", probe, *argv],
+                             cwd=src, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "b" / "scatter_fits.json").exists()
 
 
 class TestInvalidCounts:

@@ -22,7 +22,7 @@ def test_all_names_resolve(name):
 
 def test_import_loads_no_scipy():
     # importing scipy.sparse alone takes a bare numpy process from about 27
-    # to 49 MiB, so the library's import leaves scipy to the modules that need it;
+    # to 49 MiB, so the library needs numpy alone, and scipy is a test dependency;
     # scipy.optimize adds about 48 MB of max RSS after numpy and scipy.fft 26 MB,
     # against a 42-50 MB peak in every benchmark workload and its 10 % bound, so
     # even the same-bits, faster label DFTs of scipy.fft stay out of the library

@@ -660,6 +660,19 @@ class TestSubIntegerDecode:
         with pytest.raises(ValueError):
             sub_integer_decode(sys357, sys357.encode(1), 0)
 
+    def test_takes_the_early_stop(self, monkeypatch, sys357):
+        # the anchors need only the top integer entries, not the settled state
+        factorize, passed = resonator.resonator_factorize, []
+
+        def recording_factorize(v, books, cfg, **kwargs):
+            passed.append(kwargs)
+            return factorize(v, books, cfg, **kwargs)
+
+        monkeypatch.setattr(resonator, "resonator_factorize", recording_factorize)
+        value, _ = sub_integer_decode(sys357, sys357.encode_rational(40.25), 4, ResonatorConfig(max_iters=30, seed=0))
+        assert value == Fraction(161, 4)
+        assert passed == [{}]
+
     def test_readme_example_converges(self):
         # the integer resonator's own check fails on a fractional input, so
         # converged once came back False with the right 202/5
